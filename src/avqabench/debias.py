@@ -1,8 +1,8 @@
 """KL-divergence debiasing losses over four prediction heads.
 
 A training sample yields four pre-softmax score vectors over the answer
-classes: one from the fused multimodal path and one per single modality
-(question, video, audio). Three terms form the training objective:
+classes: one per single modality (question, video, audio) and one from the
+fused multimodal path. Three terms form the training objective:
 
 * answer loss: cross entropy of the fusion scores against the gold class.
 * discrepancy loss: alpha * sum over modalities of
@@ -13,10 +13,12 @@ classes: one from the fused multimodal path and one per single modality
 * cycle loss: beta * (KL(q||a) + KL(a||v) + KL(v||q)), a cyclic constraint
   keeping the three single-modality predictions mutually consistent.
 
-All KL divergences are taken in nats between softmax outputs; the second
-argument's probabilities are floored before the log so that finite-
-precision underflow cannot produce infinities. Gradients with respect to
-all four logit vectors are available in closed form and are checked
+`batch_loss_and_grad` computes all three terms and their closed-form
+gradients for a batch at once, from logits stacked as (4, n, C) in `PATHS`
+order: question, video, audio, fusion. Every KL is taken in nats in log
+space, as sum softmax(z_p) * (log_softmax(z_p) - log_softmax(z_q)), which is
+exact and finite for any finite logits, however small a probability gets.
+The single-sample functions are batches of one; their gradients are checked
 against central finite differences by `finite_diff_check`.
 """
 
@@ -27,27 +29,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MODALITIES = ("question", "video", "audio")
+PATHS = ("question", "video", "audio", "fusion")
+MODALITIES = PATHS[:3]
 # cycle direction: question -> audio -> video -> question
 CYCLE_PAIRS = (("question", "audio"), ("audio", "video"), ("video", "question"))
+# KL(p || q) operands as PATHS indices: fusion against each modality (the
+# discrepancy pairs), then the cycle pairs J = [0, 2, 1], K = [2, 1, 0]
+_KL_P = np.array([3, 3, 3] + [PATHS.index(j) for j, _ in CYCLE_PAIRS])
+_KL_Q = np.array([0, 1, 2] + [PATHS.index(k) for _, k in CYCLE_PAIRS])
 
 
 @dataclass
 class DebiasConfig:
-    """Weights and numerical guards for the loss terms."""
+    """Weights of the debiasing terms and the reciprocal's guard."""
 
     alpha: float = 1e-3
     beta: float = 5e-3
     epsilon: float = 1e-5
-    prob_floor: float = 1e-12
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.prob_floor <= 0:
-            raise ValueError("prob_floor must be positive")
 
 
 @dataclass
@@ -82,7 +86,7 @@ class LogitBundle:
         return getattr(self, name)
 
     def replace_entry(self, head: str, index: int, value: float) -> "LogitBundle":
-        vectors = {n: self.head(n).copy() for n in ("fusion",) + MODALITIES}
+        vectors = {n: self.head(n).copy() for n in PATHS}
         vectors[head][index] = value
         return LogitBundle(**vectors)
 
@@ -132,26 +136,13 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def _kl(p: np.ndarray, q: np.ndarray, prob_floor: float) -> np.ndarray:
-    """KL(p || q) in nats along the last axis; zero p-entries contribute 0."""
-    q_floored = np.maximum(q, prob_floor)
-    ratio = np.where(p > 0, p / q_floored, 1.0)
-    terms = np.where(p > 0, p * np.log(ratio), 0.0)
-    return terms.sum(axis=-1)
-
-
-def kl_divergence(p, q, prob_floor: float = 1e-12) -> float:
+def kl_divergence(p, q) -> float:
     """KL(p || q) in nats between two probability vectors.
 
-    q is floored at prob_floor before the log; terms where p is zero
-    contribute 0. Raises on length mismatch or vectors that do not sum
-    to 1.
+    Terms where p is zero contribute 0; the result is infinite where q is
+    zero and p is not. Raises on length mismatch or vectors that do not sum
+    to 1. This probability-space form is the reference the log-space KL of
+    `batch_loss_and_grad` is tested against.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -160,91 +151,100 @@ def kl_divergence(p, q, prob_floor: float = 1e-12) -> float:
     for name, vec in (("p", p), ("q", q)):
         if not math.isclose(float(vec.sum()), 1.0, abs_tol=1e-6):
             raise ValueError(f"{name} must sum to 1, got {float(vec.sum())!r}")
-    return float(_kl(p, q, prob_floor))
+    support = p > 0
+    with np.errstate(divide="ignore"):
+        return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
-def answer_loss(fusion_logits: np.ndarray, label: int) -> float:
-    """Cross entropy -log softmax(fusion)[label], computed in log space."""
-    z = np.asarray(fusion_logits, dtype=np.float64)
-    if not 0 <= label < z.shape[-1]:
-        raise ValueError(f"label {label} out of range for {z.shape[-1]} classes")
-    return float(-log_softmax(z)[..., label])
+def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfig):
+    """Per-sample loss terms and their logit gradients for a stacked batch.
 
-
-def discrepancy_loss(bundle: LogitBundle, cfg: DebiasConfig) -> float:
-    """alpha * sum_k 1/(KL(fusion || modality_k) + eps) on softmaxed heads."""
-    p = softmax(bundle.fusion)
-    total = 0.0
-    for name in MODALITIES:
-        d = _kl(p, softmax(bundle.head(name)), cfg.prob_floor)
-        total += 1.0 / (float(d) + cfg.epsilon)
-    return cfg.alpha * total
-
-
-def cycle_loss(bundle: LogitBundle, cfg: DebiasConfig) -> float:
-    """beta * sum of KL over the cyclic modality pairs, on softmaxed heads."""
-    probs = {name: softmax(bundle.head(name)) for name in MODALITIES}
-    total = 0.0
-    for j, k in CYCLE_PAIRS:
-        total += float(_kl(probs[j], probs[k], cfg.prob_floor))
-    return cfg.beta * total
-
-
-def total_loss(bundle: LogitBundle, label: int, cfg: DebiasConfig) -> LossBreakdown:
-    return LossBreakdown(
-        answer=answer_loss(bundle.fusion, label),
-        discrepancy=discrepancy_loss(bundle, cfg),
-        cycle=cycle_loss(bundle, cfg),
-    )
-
-
-def _safe_log_ratio(p: np.ndarray, q: np.ndarray, prob_floor: float) -> np.ndarray:
-    q_floored = np.maximum(q, prob_floor)
-    return np.log(np.where(p > 0, p / q_floored, 1.0))
-
-
-def loss_gradients(bundle: LogitBundle, label: int, cfg: DebiasConfig) -> GradientBundle:
-    """Closed-form d(total)/d(logits) for all four heads.
+    logits is (4, n, C) in PATHS order and labels is (n,). Returns
+    (answer, discrepancy, cycle, grads): three (n,) arrays of per-sample
+    terms and, as (4, n, C), the gradient of each sample's total loss with
+    respect to that sample's logits; divide by n for the gradient of the
+    batch mean.
 
     For a scalar F of a softmax output s = softmax(z) with elementwise
     sensitivities g = dF/ds, the chain rule through the softmax Jacobian
     gives dF/dz = s * (g - sum(s * g)). Applied to d = KL(p || u):
 
-        dd/d(z_p) = p * (log(p/u) - d)
+        dd/d(z_p) = p * (log p - log u - d)
         dd/d(z_u) = u - p
 
-    The discrepancy term alpha/(d + eps) then scales both by
-    -alpha/(d + eps)^2, and each cycle term contributes the same pair of
-    expressions for its ordered (j, k) operands.
+    The discrepancy term alpha/(d + eps) scales both by -alpha/(d + eps)^2
+    and the cycle term by beta.
     """
-    p = softmax(bundle.fusion)
-    u = {name: softmax(bundle.head(name)) for name in MODALITIES}
-    if not 0 <= label < bundle.num_classes:
-        raise ValueError(f"label {label} out of range for {bundle.num_classes} classes")
+    z = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels)
+    if z.ndim != 3 or z.shape[0] != len(PATHS) or labels.shape != z.shape[1:2]:
+        raise ValueError(
+            f"expected (4, n, C) logits and (n,) labels, got {z.shape} and {labels.shape}"
+        )
+    n, c = z.shape[1:]
+    if labels.min() < 0 or labels.max() >= c:
+        bad = labels[(labels < 0) | (labels >= c)][0]
+        raise ValueError(f"label {bad} out of range for {c} classes")
 
-    grad_fusion = p.copy()
-    grad_fusion[label] -= 1.0
-    grad = {name: np.zeros_like(p) for name in MODALITIES}
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    norm = e.sum(axis=-1, keepdims=True)
+    probs = e / norm
+    logp = shifted - np.log(norm)
+    rows = np.arange(n)
+    answer = -logp[3, rows, labels]
 
-    for name in MODALITIES:
-        d = float(_kl(p, u[name], cfg.prob_floor))
-        weight = -cfg.alpha / (d + cfg.epsilon) ** 2
-        log_ratio = _safe_log_ratio(p, u[name], cfg.prob_floor)
-        grad_fusion += weight * np.where(p > 0, p * (log_ratio - d), 0.0)
-        grad[name] += weight * (u[name] - p)
+    p = probs[_KL_P]
+    diff = logp[_KL_P] - logp[_KL_Q]
+    kl = (p * diff).sum(axis=-1)  # (6, n)
+    inv = 1.0 / (kl[:3] + cfg.epsilon)
+    discrepancy = cfg.alpha * inv.sum(axis=0)
+    cycle = cfg.beta * kl[3:].sum(axis=0)
 
-    for j, k in CYCLE_PAIRS:
-        d = float(_kl(u[j], u[k], cfg.prob_floor))
-        log_ratio = _safe_log_ratio(u[j], u[k], cfg.prob_floor)
-        grad[j] += cfg.beta * np.where(u[j] > 0, u[j] * (log_ratio - d), 0.0)
-        grad[k] += cfg.beta * (u[k] - u[j])
+    weight = np.concatenate([-cfg.alpha * inv**2, np.full_like(inv, cfg.beta)])[..., None]
+    d_p = weight * p * (diff - kl[..., None])  # each weighted KL by its p operand
+    d_q = weight * (probs[_KL_Q] - p)  # and by its q operand
+    grads = np.empty_like(z)
+    grads[3] = probs[3] + d_p[:3].sum(axis=0)
+    grads[3, rows, labels] -= 1.0
+    grads[:3] = d_q[:3]
+    grads[_KL_P[3:]] += d_p[3:]
+    grads[_KL_Q[3:]] += d_q[3:]
+    return answer, discrepancy, cycle, grads
 
-    return GradientBundle(
-        fusion=grad_fusion,
-        question=grad["question"],
-        video=grad["video"],
-        audio=grad["audio"],
+
+def _batch_of_one(bundle: LogitBundle, label: int, cfg: DebiasConfig):
+    logits = np.stack([bundle.head(name) for name in PATHS])[:, None, :]
+    return batch_loss_and_grad(logits, np.array([label]), cfg)
+
+
+def answer_loss(fusion_logits: np.ndarray, label: int) -> float:
+    """Cross entropy -log softmax(fusion)[label], computed in log space."""
+    z = np.asarray(fusion_logits, dtype=np.float64)
+    return float(_batch_of_one(LogitBundle(z, z, z, z), label, DebiasConfig())[0][0])
+
+
+def discrepancy_loss(bundle: LogitBundle, cfg: DebiasConfig) -> float:
+    """alpha * sum_k 1/(KL(fusion || modality_k) + eps) on softmaxed heads."""
+    return float(_batch_of_one(bundle, 0, cfg)[1][0])
+
+
+def cycle_loss(bundle: LogitBundle, cfg: DebiasConfig) -> float:
+    """beta * sum of KL over the cyclic modality pairs, on softmaxed heads."""
+    return float(_batch_of_one(bundle, 0, cfg)[2][0])
+
+
+def total_loss(bundle: LogitBundle, label: int, cfg: DebiasConfig) -> LossBreakdown:
+    answer, discrepancy, cycle, _ = _batch_of_one(bundle, label, cfg)
+    return LossBreakdown(
+        answer=float(answer[0]), discrepancy=float(discrepancy[0]), cycle=float(cycle[0])
     )
+
+
+def loss_gradients(bundle: LogitBundle, label: int, cfg: DebiasConfig) -> GradientBundle:
+    """Closed-form d(total)/d(logits) for all four heads (see batch_loss_and_grad)."""
+    grads = _batch_of_one(bundle, label, cfg)[3]
+    return GradientBundle(**{name: grads[i, 0] for i, name in enumerate(PATHS)})
 
 
 def finite_diff_check(
@@ -252,24 +252,21 @@ def finite_diff_check(
 ) -> float:
     """Worst relative error of the analytic gradient vs central differences.
 
-    Perturbs every logit entry of every head by +/-step and compares
-    (L(+) - L(-)) / (2 step) against the closed form, with denominator
-    max(|analytic|, |numeric|, 1e-8).
+    Perturbs every logit entry of every head by +/-step, evaluates all the
+    perturbed bundles as one batch, and compares (L(+) - L(-)) / (2 step)
+    against the closed form, with denominator max(|analytic|, |numeric|,
+    1e-8). L(+) - L(-) is summed from the differences of the three loss
+    parts, so rounding in a large part cannot swamp the change in a small
+    one.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    analytic = loss_gradients(bundle, label, cfg)
-    worst = 0.0
-    for head in ("fusion",) + MODALITIES:
-        vec = bundle.head(head)
-        for i in range(vec.shape[0]):
-            plus = bundle.replace_entry(head, i, vec[i] + step)
-            minus = bundle.replace_entry(head, i, vec[i] - step)
-            numeric = (
-                total_loss(plus, label, cfg).total
-                - total_loss(minus, label, cfg).total
-            ) / (2.0 * step)
-            a = analytic.head(head)[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
+    base = np.stack([bundle.head(name) for name in PATHS])  # (4, C)
+    entries = base.size
+    shifts = step * np.eye(entries).reshape(entries, *base.shape)
+    perturbed = np.concatenate([base + shifts, base - shifts]).transpose(1, 0, 2)
+    *parts, _ = batch_loss_and_grad(perturbed, np.full(2 * entries, label), cfg)
+    numeric = sum(part[:entries] - part[entries:] for part in parts) / (2.0 * step)
+    analytic = _batch_of_one(bundle, label, cfg)[3].reshape(-1)
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / scale))

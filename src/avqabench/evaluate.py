@@ -12,7 +12,6 @@ and the strict-majority pass rate.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -25,15 +24,16 @@ from .split import SplitAssignment
 
 MATCH_POLICIES = ("normalized", "exact")
 
-_WS = re.compile(r"\s+")
 _TERMINAL_PUNCT = ".,!?;:"
 
 
 def normalize_answer(text: str) -> str:
-    """Lowercase, trim, strip terminal punctuation, collapse whitespace."""
-    out = text.strip().lower()
-    out = out.rstrip(_TERMINAL_PUNCT)
-    return _WS.sub(" ", out).strip()
+    """Lowercase, collapse whitespace, trim, strip terminal punctuation.
+
+    Trailing punctuation and spaces are stripped together, so the result
+    is a fixed point: normalizing it again changes nothing.
+    """
+    return " ".join(text.lower().split()).rstrip(_TERMINAL_PUNCT + " ")
 
 
 def match_answer(prediction: str, gold: str, policy: str = "normalized") -> bool:

@@ -14,9 +14,19 @@ Model: one affine encoder per modality into a shared hidden space, a
 per-path learned bias vector standing in for path-specific instructions,
 and a single classifier head whose parameters are shared by all four
 prediction paths (question / video / audio / fusion, where fusion is the
-mean of the three unimodal embeddings). Training is plain mini-batch SGD
-(optionally with momentum) on answer + discrepancy + cycle losses, with
-gradients propagated through the affine maps in closed form.
+sum of the three unimodal embeddings, so each modality enters the fused
+path at the magnitude it has in its own path). The parameters are five
+blocks, each stacked over modalities or paths in `PATHS` order:
+
+    enc_weight (3, h, d)   enc_bias (3, h)   path_bias (4, h)
+    head_weight (C, h)     head_bias (C,)    -- stored once, shared
+
+Features are stacked the same way, (3, n, d), so a training step runs the
+three encoders, the shared head, `debias.batch_loss_and_grad` and the
+backward pass each as one stacked computation over all paths. Training is
+plain mini-batch SGD (optionally with momentum) on answer + discrepancy +
+cycle losses, with gradients propagated through the affine maps in closed
+form.
 """
 
 from __future__ import annotations
@@ -28,18 +38,13 @@ from statistics import median
 import numpy as np
 
 from .debias import (
-    CYCLE_PAIRS,
     MODALITIES,
+    PATHS,
     DebiasConfig,
     LogitBundle,
     LossBreakdown,
-    _kl,
-    _safe_log_ratio,
-    log_softmax,
-    softmax,
+    batch_loss_and_grad,
 )
-
-PATHS = MODALITIES + ("fusion",)
 
 
 @dataclass
@@ -69,9 +74,7 @@ class SyntheticSpec:
 
 @dataclass
 class ToyDataset:
-    question: np.ndarray  # (n, d)
-    video: np.ndarray  # (n, d)
-    audio: np.ndarray  # (n, d)
+    features: np.ndarray  # (3, n, d) in MODALITIES order
     labels: np.ndarray  # (n,)
     cues: np.ndarray  # (n,) cue token carried by the question features
 
@@ -114,22 +117,10 @@ def _materialize(rng, spec, books, labels, cue_rate):
     video_factor = labels // n_audio
     audio_factor = labels % n_audio
     cues = _draw_cues(rng, labels, spec.num_classes, cue_rate)
-    features = {}
-    for name, factor in (
-        ("question", cues),
-        ("video", video_factor),
-        ("audio", audio_factor),
-    ):
-        clean = books[name][factor]
-        noise = rng.normal(scale=spec.noise_std, size=clean.shape)
-        features[name] = clean + noise
-    return ToyDataset(
-        question=features["question"],
-        video=features["video"],
-        audio=features["audio"],
-        labels=labels,
-        cues=cues,
-    )
+    features = np.empty((len(MODALITIES), labels.shape[0], spec.feature_dim))
+    for out, name, factor in zip(features, MODALITIES, (cues, video_factor, audio_factor)):
+        out[:] = books[name][factor] + rng.normal(scale=spec.noise_std, size=out.shape)
+    return ToyDataset(features=features, labels=labels, cues=cues)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[ToyDataset, ToyDataset, ToyDataset]:
@@ -151,33 +142,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[ToyDataset, ToyDataset, Toy
     return train, head, tail
 
 
-@dataclass
-class ToyModelParams:
-    """Three encoders plus one classifier head shared by all four paths."""
-
-    enc_weight: dict[str, np.ndarray]  # modality -> (h, d)
-    enc_bias: dict[str, np.ndarray]  # modality -> (h,)
-    head_weight: np.ndarray  # (C, h), stored once
-    head_bias: np.ndarray  # (C,)
-    path_bias: dict[str, np.ndarray]  # path -> (h,), instruction analog
+class ToyModelParams(dict[str, np.ndarray]):
+    """The five parameter blocks by name; see the module docstring."""
 
     def parameter_count(self) -> int:
         """Counts the shared head exactly once."""
-        n = self.head_weight.size + self.head_bias.size
-        for name in MODALITIES:
-            n += self.enc_weight[name].size + self.enc_bias[name].size
-        for name in PATHS:
-            n += self.path_bias[name].size
-        return n
+        return sum(block.size for block in self.values())
 
     def copy(self) -> "ToyModelParams":
-        return ToyModelParams(
-            enc_weight={k: v.copy() for k, v in self.enc_weight.items()},
-            enc_bias={k: v.copy() for k, v in self.enc_bias.items()},
-            head_weight=self.head_weight.copy(),
-            head_bias=self.head_bias.copy(),
-            path_bias={k: v.copy() for k, v in self.path_bias.items()},
-        )
+        return ToyModelParams({name: block.copy() for name, block in self.items()})
 
 
 @dataclass
@@ -212,123 +185,58 @@ def init_params(spec: SyntheticSpec, tcfg: TrainConfig) -> ToyModelParams:
         bound = 1.0 / math.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
+    m = len(MODALITIES)
     return ToyModelParams(
-        enc_weight={name: uniform((h, d), d) for name in MODALITIES},
-        enc_bias={name: uniform((h,), d) for name in MODALITIES},
+        enc_weight=uniform((m, h, d), d),
+        enc_bias=uniform((m, h), d),
         head_weight=uniform((c, h), h),
         head_bias=uniform((c,), h),
-        path_bias={name: np.zeros(h) for name in PATHS},
+        path_bias=np.zeros((len(PATHS), h)),
     )
 
 
-# fusion = _FUSION_SCALE * (sum of unimodal embeddings); 1.0 keeps each
-# modality at the same magnitude in the fused path as in its own path
-_FUSION_SCALE = 1.0
-
-
-def _forward_batch(params, question, video, audio):
-    """Embeddings and the four logit blocks for a feature batch."""
-    feats = {"question": question, "video": video, "audio": audio}
-    emb = {
-        name: feats[name] @ params.enc_weight[name].T + params.enc_bias[name]
-        for name in MODALITIES
-    }
-    emb["fusion"] = _FUSION_SCALE * (emb["question"] + emb["video"] + emb["audio"])
-    logits = {
-        name: (emb[name] + params.path_bias[name]) @ params.head_weight.T
-        + params.head_bias
-        for name in PATHS
-    }
-    return emb, logits
+def _forward_batch(params, feats):
+    """Path inputs to the shared head (4, n, h) and logits (4, n, C)."""
+    emb = feats @ params["enc_weight"].transpose(0, 2, 1)
+    emb += params["enc_bias"][:, None]
+    hidden = np.concatenate([emb, emb.sum(axis=0, keepdims=True)])
+    hidden += params["path_bias"][:, None]
+    logits = hidden @ params["head_weight"].T
+    logits += params["head_bias"]
+    return hidden, logits
 
 
 def forward(params: ToyModelParams, question, video, audio) -> LogitBundle:
     """Four logit vectors for one sample; unimodal paths see one modality."""
-    q = np.atleast_2d(np.asarray(question, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(video, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(audio, dtype=np.float64))
-    d = params.enc_weight["question"].shape[1]
-    for name, x in (("question", q), ("video", v), ("audio", a)):
+    d = params["enc_weight"].shape[2]
+    feats = []
+    for name, x in zip(MODALITIES, (question, video, audio)):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape != (1, d):
             raise ValueError(f"{name} features must have dimension {d}")
-    _, logits = _forward_batch(params, q, v, a)
-    return LogitBundle(
-        fusion=logits["fusion"][0],
-        question=logits["question"][0],
-        video=logits["video"][0],
-        audio=logits["audio"][0],
-    )
+        feats.append(x)
+    _, logits = _forward_batch(params, np.stack(feats))
+    return LogitBundle(**{name: logits[i, 0] for i, name in enumerate(PATHS)})
 
 
-def _batch_losses_and_logit_grads(logits, labels, cfg):
-    """Per-sample loss parts and mean-reduced d(loss)/d(logits) per path.
+def _backward_batch(params, feats, hidden, grads):
+    """Parameter gradients from logit gradients (4, n, C).
 
-    Vectorized restatement of the single-sample closed forms: softmax all
-    four heads, cross entropy on fusion, reciprocal-KL discrepancy into
-    fusion and each modality, cyclic KL between modality pairs.
+    All four paths accumulate into the shared head; the fusion path sums
+    the three embeddings, so each encoder receives its own path's
+    gradient plus the fusion path's.
     """
-    n = labels.shape[0]
-    probs = {name: softmax(logits[name], axis=-1) for name in PATHS}
-    logp = {name: log_softmax(logits[name], axis=-1) for name in PATHS}
-    rows = np.arange(n)
-
-    l_answer = -logp["fusion"][rows, labels]
-    grads = {name: np.zeros_like(probs[name]) for name in PATHS}
-    g_fusion = probs["fusion"].copy()
-    g_fusion[rows, labels] -= 1.0
-    grads["fusion"] = g_fusion
-
-    p = probs["fusion"]
-    l_disc = np.zeros(n)
-    for name in MODALITIES:
-        d = _kl(p, probs[name], cfg.prob_floor)
-        l_disc += 1.0 / (d + cfg.epsilon)
-        weight = (-cfg.alpha / (d + cfg.epsilon) ** 2)[:, None]
-        log_ratio = _safe_log_ratio(p, probs[name], cfg.prob_floor)
-        grads["fusion"] += weight * np.where(p > 0, p * (log_ratio - d[:, None]), 0.0)
-        grads[name] += weight * (probs[name] - p)
-    l_disc *= cfg.alpha
-
-    l_cycle = np.zeros(n)
-    for j, k in CYCLE_PAIRS:
-        d = _kl(probs[j], probs[k], cfg.prob_floor)
-        l_cycle += d
-        log_ratio = _safe_log_ratio(probs[j], probs[k], cfg.prob_floor)
-        grads[j] += cfg.beta * np.where(
-            probs[j] > 0, probs[j] * (log_ratio - d[:, None]), 0.0
-        )
-        grads[k] += cfg.beta * (probs[k] - probs[j])
-    l_cycle *= cfg.beta
-
-    for name in PATHS:
-        grads[name] /= n
-    return l_answer, l_disc, l_cycle, grads
-
-
-def _backward_batch(params, feats, emb, grads):
-    """Parameter gradients; all four paths accumulate into the shared head."""
-    h_w = params.head_weight
-    p_grads = {
-        "head_weight": np.zeros_like(params.head_weight),
-        "head_bias": np.zeros_like(params.head_bias),
-        "enc_weight": {m: np.zeros_like(params.enc_weight[m]) for m in MODALITIES},
-        "enc_bias": {m: np.zeros_like(params.enc_bias[m]) for m in MODALITIES},
-        "path_bias": {},
+    back = grads @ params["head_weight"]  # (4, n, h)
+    enc = back[:3] + back[3]
+    c, h = params["head_weight"].shape
+    return {
+        "enc_weight": enc.transpose(0, 2, 1) @ feats,
+        "enc_bias": enc.sum(axis=1),
+        # sum over paths and samples at once: one (C, 4n) @ (4n, h) product
+        "head_weight": grads.reshape(-1, c).T @ hidden.reshape(-1, h),
+        "head_bias": grads.sum(axis=(0, 1)),
+        "path_bias": back.sum(axis=1),
     }
-    d_emb = {}
-    for name in PATHS:
-        g = grads[name]
-        pre = emb[name] + params.path_bias[name]
-        p_grads["head_weight"] += g.T @ pre
-        p_grads["head_bias"] += g.sum(axis=0)
-        back = g @ h_w  # (n, h)
-        p_grads["path_bias"][name] = back.sum(axis=0)
-        d_emb[name] = back
-    for name in MODALITIES:
-        total = d_emb[name] + _FUSION_SCALE * d_emb["fusion"]
-        p_grads["enc_weight"][name] = total.T @ feats[name]
-        p_grads["enc_bias"][name] = total.sum(axis=0)
-    return p_grads
 
 
 class _SGD:
@@ -337,14 +245,13 @@ class _SGD:
         self.momentum = momentum
         self.velocity = {}
 
-    def step(self, key, param, grad):
-        if self.momentum > 0.0:
-            vel = self.velocity.get(key)
-            vel = grad if vel is None else self.momentum * vel + grad
-            self.velocity[key] = vel
-            param -= self.lr * vel
-        else:
-            param -= self.lr * grad
+    def step(self, params, grads):
+        for name, grad in grads.items():
+            if self.momentum > 0.0:
+                vel = self.velocity.get(name)
+                grad = grad if vel is None else self.momentum * vel + grad
+                self.velocity[name] = grad
+            params[name] -= self.lr * grad
 
 
 def train(
@@ -361,32 +268,20 @@ def train(
     opt = _SGD(tcfg.learning_rate, momentum)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 3]))
     n = len(train_set)
-    feats_all = {
-        "question": train_set.question,
-        "video": train_set.video,
-        "audio": train_set.audio,
-    }
     trace: list[LossBreakdown] = []
     for epoch in range(tcfg.epochs):
         order = shuffle_rng.permutation(n)
         sums = np.zeros(3)
         for start in range(0, n, tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
-            feats = {name: feats_all[name][idx] for name in MODALITIES}
-            labels = train_set.labels[idx]
-            emb, logits = _forward_batch(params, feats["question"], feats["video"], feats["audio"])
-            l_a, l_d, l_c, logit_grads = _batch_losses_and_logit_grads(
-                logits, labels, tcfg.debias
+            feats = train_set.features[:, idx]
+            hidden, logits = _forward_batch(params, feats)
+            l_a, l_d, l_c, logit_grads = batch_loss_and_grad(
+                logits, train_set.labels[idx], tcfg.debias
             )
             sums += (l_a.sum(), l_d.sum(), l_c.sum())
-            p_grads = _backward_batch(params, feats, emb, logit_grads)
-            opt.step("head_weight", params.head_weight, p_grads["head_weight"])
-            opt.step("head_bias", params.head_bias, p_grads["head_bias"])
-            for name in MODALITIES:
-                opt.step(f"enc_weight.{name}", params.enc_weight[name], p_grads["enc_weight"][name])
-                opt.step(f"enc_bias.{name}", params.enc_bias[name], p_grads["enc_bias"][name])
-            for name in PATHS:
-                opt.step(f"path_bias.{name}", params.path_bias[name], p_grads["path_bias"][name])
+            logit_grads /= len(idx)
+            opt.step(params, _backward_batch(params, feats, hidden, logit_grads))
         epoch_loss = LossBreakdown(
             answer=sums[0] / n, discrepancy=sums[1] / n, cycle=sums[2] / n
         )
@@ -411,8 +306,8 @@ class ToyEvalResult:
 
 
 def _fusion_accuracy(params, dataset) -> tuple[int, int]:
-    _, logits = _forward_batch(params, dataset.question, dataset.video, dataset.audio)
-    predicted = logits["fusion"].argmax(axis=-1)
+    _, logits = _forward_batch(params, dataset.features)
+    predicted = logits[3].argmax(axis=-1)
     return int((predicted == dataset.labels).sum()), len(dataset)
 
 

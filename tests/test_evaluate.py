@@ -1,7 +1,7 @@
 """Accuracy reporting, matching, sampling, and agreement statistics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from avqabench.evaluate import (
     agreement_stats,
@@ -27,6 +27,12 @@ class TestMatching:
 
     def test_terminal_punctuation(self):
         assert match_answer("cello.", "cello")
+        assert match_answer("two. .", "two")
+
+    def test_mixed_trailing_punctuation_and_space_strip_together(self):
+        assert normalize_answer("two!\t?") == "two"
+        assert normalize_answer("one. .") == "one"
+        assert normalize_answer("two. .") == "two"
 
     def test_no_numeral_equivalence(self):
         assert not match_answer("two", "2")
@@ -43,6 +49,8 @@ class TestMatching:
             match_answer("a", "a", policy="fuzzy")
 
     @given(st.text(max_size=40))
+    @example("two!\t?")
+    @example("one. .")
     def test_normalization_idempotent(self, text):
         once = normalize_answer(text)
         assert normalize_answer(once) == once

@@ -175,8 +175,9 @@ def accuracy_report(
     """Score predictions against gold answers per head/tail cell.
 
     Requires a complete pairing: every gold id predicted, no orphan
-    predictions, and every gold id present in the split assignment.
-    Unresolved ids raise with the offending ids listed.
+    predictions, every gold id present in the split assignment, and no
+    split label for an id outside the dataset. Unresolved ids raise with
+    the offending ids listed.
     """
     pairing = validate_pair(manifest, preds)
     if not pairing.valid:
@@ -187,6 +188,11 @@ def accuracy_report(
     unassigned = [rec.id for rec in manifest.records if rec.id not in assignment.labels]
     if unassigned:
         raise ValueError(f"records missing from split assignment: {unassigned!r}")
+    if len(assignment.labels) != len(manifest):
+        gold_ids = {rec.id for rec in manifest.records}
+        extra = [rid for rid in assignment.labels if rid not in gold_ids]
+        if extra:
+            raise ValueError(f"split assignment labels ids not in the dataset: {extra!r}")
 
     by_id = {p.id: p.prediction for p in preds}
     raw: dict[tuple[str, str, str], CellStats] = {}

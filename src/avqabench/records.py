@@ -7,8 +7,9 @@ Datasets are line-delimited JSON, one record per line:
 
 Prediction files are line-delimited JSON with {"id", "prediction"}.
 Unknown extra fields on dataset records are preserved on round-trip but
-otherwise ignored. Records are grouped by (task, question_type); grouping
-is derived from the record list and is rebuilt identically from the same
+otherwise ignored. Records are grouped by (task, question_type): each
+group holds the record objects themselves, the same objects as the record
+list and in file order, so grouping is rebuilt identically from the same
 records.
 """
 
@@ -78,29 +79,17 @@ class DatasetManifest:
     """Ordered records plus the derived (task, question_type) grouping."""
 
     records: list[QARecord]
-    groups: dict[GroupKey, list[str]]
+    groups: dict[GroupKey, list[QARecord]]
 
     @classmethod
     def from_records(cls, records: list[QARecord]) -> "DatasetManifest":
-        groups: dict[GroupKey, list[str]] = {}
+        groups: dict[GroupKey, list[QARecord]] = {}
         for rec in records:
-            groups.setdefault(rec.group, []).append(rec.id)
+            groups.setdefault(rec.group, []).append(rec)
         return cls(records=list(records), groups=groups)
-
-    def record_by_id(self, record_id: str) -> QARecord:
-        try:
-            return self._index[record_id]
-        except AttributeError:
-            self._index = {rec.id: rec for rec in self.records}
-            return self._index[record_id]
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DatasetManifest):
-            return NotImplemented
-        return self.records == other.records and self.groups == other.groups
 
 
 def _require_str(raw: dict, key: str, line_no: int) -> str:
@@ -177,7 +166,6 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
     """
     records: list[QARecord] = []
     seen: dict[str, int] = {}
-    line_of: dict[str, int] = {}
     for line_no, raw in _iter_json_lines(path):
         rec = _parse_record_line(raw, line_no)
         if rec.id in seen:
@@ -185,13 +173,12 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
                 f"duplicate id {rec.id!r} on lines {seen[rec.id]} and {line_no}"
             )
         seen[rec.id] = line_no
-        line_of[rec.id] = line_no
         records.append(rec)
 
     for rec in records:
         if rec.rephrase_of is not None and rec.rephrase_of not in seen:
             raise DatasetError(
-                f"line {line_of[rec.id]}: rephrase_of {rec.rephrase_of!r} "
+                f"line {seen[rec.id]}: rephrase_of {rec.rephrase_of!r} "
                 "does not reference an id in this dataset"
             )
     return DatasetManifest.from_records(records)
@@ -247,11 +234,7 @@ def validate_pair(
     return ValidationReport(missing_predictions=missing, orphan_predictions=orphans)
 
 
-def dumps_record(record: QARecord) -> str:
-    return json.dumps(record.to_dict(), ensure_ascii=False)
-
-
 def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:
     """Serialize a manifest back to the line-delimited format."""
-    lines = [dumps_record(rec) for rec in manifest.records]
+    lines = [json.dumps(rec.to_dict(), ensure_ascii=False) for rec in manifest.records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -8,17 +8,20 @@ Two rules are provided:
   k = h/N). Small k means a compact head with a strong coverage demand;
   the minimal feasible h balances compactness against coverage.
 * legacy fixed-multiplier rule: a class is tail iff its count is at most
-  multiplier * mean class count (default 1.2x). On near-uniform groups
-  every count sits below the threshold and the head degenerates to empty,
-  which is the pathology the coverage-constrained rule removes.
+  LEGACY_MULTIPLIER (1.2) times the mean class count. On near-uniform
+  groups every count sits below the threshold and the head degenerates to
+  empty, which is the pathology the coverage-constrained rule removes.
 
-Ties between equal counts are broken by ascending answer label so that
-identical inputs always yield identical splits.
+Both rules flag a group as balanced when its normalized entropy is at
+least BALANCED_ENTROPY (0.9). Ties between equal counts are broken by
+ascending answer label so that identical inputs always yield identical
+splits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -27,30 +30,8 @@ from .balance import AnswerDistribution, normalized_entropy
 from .records import DatasetManifest, GroupKey
 
 MODES = ("conformal", "legacy")
-
-
-@dataclass(frozen=True)
-class GroupCounts:
-    """Answer-class counts for one group, with derived size statistics."""
-
-    key: GroupKey
-    counts: Mapping[str, int]
-
-    @property
-    def num_classes(self) -> int:
-        return sum(1 for c in self.counts.values() if c > 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def mean_count(self) -> float:
-        """Mean sample count per answer class."""
-        return self.total / self.num_classes
-
-    def nonzero_counts(self) -> dict[str, int]:
-        return {a: c for a, c in self.counts.items() if c > 0}
+LEGACY_MULTIPLIER = 1.2
+BALANCED_ENTROPY = 0.9
 
 
 @dataclass
@@ -83,8 +64,6 @@ class SplitSolution:
 @dataclass
 class SplitConfig:
     mode: str = "conformal"
-    legacy_multiplier: float = 1.2
-    entropy_threshold: float = 0.9
 
 
 @dataclass
@@ -93,12 +72,6 @@ class SplitAssignment:
 
     labels: dict[str, str] = field(default_factory=dict)
     solutions: list[SplitSolution] = field(default_factory=list)
-
-    def solution_for(self, key: GroupKey) -> SplitSolution:
-        for sol in self.solutions:
-            if sol.key == key:
-                return sol
-        raise KeyError(f"no solution for group {key}")
 
     def to_dict(self) -> dict:
         return {
@@ -112,11 +85,32 @@ def ranked_labels(counts: Mapping[str, int]) -> list[str]:
     return sorted((a for a, c in counts.items() if c > 0), key=lambda a: (-counts[a], a))
 
 
-def _group_normalized_entropy(counts: Mapping[str, int]) -> float:
-    return normalized_entropy(AnswerDistribution(counts=dict(counts)))
+def _ranked_nonempty(key: GroupKey, dist: AnswerDistribution) -> list[str]:
+    if dist.total == 0:
+        raise ValueError(f"group {key} is empty")
+    return ranked_labels(dist.counts)
 
 
-def conformal_split(group: GroupCounts, entropy_threshold: float = 0.9) -> SplitSolution:
+def _solution(
+    key: GroupKey, mode: str, dist: AnswerDistribution, ranked: list[str], head_size: int
+) -> SplitSolution:
+    """The split whose head is the first head_size ranked labels."""
+    head = tuple(ranked[:head_size])
+    h_norm = normalized_entropy(dist)
+    return SplitSolution(
+        key=key,
+        mode=mode,
+        k=head_size / len(ranked),
+        head_size=head_size,
+        head_answers=head,
+        tail_answers=tuple(ranked[head_size:]),
+        coverage=sum(dist.counts[a] for a in head) / dist.total,
+        normalized_entropy=h_norm,
+        balanced=h_norm >= BALANCED_ENTROPY,
+    )
+
+
+def conformal_split(key: GroupKey, dist: AnswerDistribution) -> SplitSolution:
     """Minimal head set meeting the coverage constraint.
 
     Scans h = 1..N over the ranked labels and returns the first h whose
@@ -125,102 +119,49 @@ def conformal_split(group: GroupCounts, entropy_threshold: float = 0.9) -> Split
     boundary cases such as 4/6 vs 1 - 1/3 resolve exactly. h = N always
     satisfies the constraint, so a solution exists for any non-empty group.
     """
-    counts = group.nonzero_counts()
-    total = group.total
-    if total == 0:
-        raise ValueError(f"group {group.key} is empty")
-    ranked = ranked_labels(counts)
+    ranked = _ranked_nonempty(key, dist)
+    total = dist.total
     n = len(ranked)
     cum = 0
     head_size = n
     for h, label in enumerate(ranked, start=1):
-        cum += counts[label]
+        cum += dist.counts[label]
         if cum * n >= total * (n - h):
             head_size = h
             break
-    head = tuple(ranked[:head_size])
-    tail = tuple(ranked[head_size:])
-    covered = sum(counts[a] for a in head)
-    h_norm = _group_normalized_entropy(counts)
-    return SplitSolution(
-        key=group.key,
-        mode="conformal",
-        k=head_size / n,
-        head_size=head_size,
-        head_answers=head,
-        tail_answers=tail,
-        coverage=covered / total,
-        normalized_entropy=h_norm,
-        balanced=h_norm >= entropy_threshold,
-    )
+    return _solution(key, "conformal", dist, ranked, head_size)
 
 
-def legacy_split(
-    group: GroupCounts,
-    multiplier: float = 1.2,
-    entropy_threshold: float = 0.9,
-) -> SplitSolution:
-    """Fixed-multiplier rule: tail iff count <= multiplier * mean count.
+def legacy_split(key: GroupKey, dist: AnswerDistribution) -> SplitSolution:
+    """Fixed-multiplier rule: tail iff count <= LEGACY_MULTIPLIER × mean count.
 
     Coverage is reported but not constrained; on equal-count groups the
-    head comes out empty.
+    head comes out empty. Ranked labels are count-descending, so the head
+    is a prefix of them.
     """
-    counts = group.nonzero_counts()
-    total = group.total
-    if total == 0:
-        raise ValueError(f"group {group.key} is empty")
-    ranked = ranked_labels(counts)
-    threshold = multiplier * group.mean_count
-    head = tuple(a for a in ranked if counts[a] > threshold)
-    tail = tuple(a for a in ranked if counts[a] <= threshold)
-    covered = sum(counts[a] for a in head)
-    h_norm = _group_normalized_entropy(counts)
-    return SplitSolution(
-        key=group.key,
-        mode="legacy",
-        k=len(head) / len(ranked),
-        head_size=len(head),
-        head_answers=head,
-        tail_answers=tail,
-        coverage=covered / total,
-        normalized_entropy=h_norm,
-        balanced=h_norm >= entropy_threshold,
-    )
-
-
-def group_counts_from_manifest(manifest: DatasetManifest) -> list[GroupCounts]:
-    """One GroupCounts per manifest group, in sorted group-key order."""
-    out = []
-    for key in sorted(manifest.groups):
-        dist = AnswerDistribution.from_labels(
-            manifest.record_by_id(rid).answer for rid in manifest.groups[key]
-        )
-        out.append(GroupCounts(key=key, counts=dist.counts))
-    return out
+    ranked = _ranked_nonempty(key, dist)
+    threshold = LEGACY_MULTIPLIER * (dist.total / len(ranked))
+    head_size = sum(1 for a in ranked if dist.counts[a] > threshold)
+    return _solution(key, "legacy", dist, ranked, head_size)
 
 
 def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAssignment:
     """Split every group with the configured mode and label each record.
 
-    Balanced groups (normalized entropy at or above the threshold) are
-    split like any other but carry balanced=True in their solution. A
-    record is head iff its answer is in its group's head set.
+    Groups are split in sorted group-key order. Balanced groups
+    (normalized entropy at or above BALANCED_ENTROPY) are split like any
+    other but carry balanced=True in their solution. A record is head iff
+    its answer is in its group's head set.
     """
     if config.mode not in MODES:
         raise ValueError(f"unknown split mode {config.mode!r}; expected one of {MODES}")
+    rule = conformal_split if config.mode == "conformal" else legacy_split
     solutions = []
     head_sets: dict[GroupKey, set[str]] = {}
-    for group in group_counts_from_manifest(manifest):
-        if config.mode == "conformal":
-            sol = conformal_split(group, entropy_threshold=config.entropy_threshold)
-        else:
-            sol = legacy_split(
-                group,
-                multiplier=config.legacy_multiplier,
-                entropy_threshold=config.entropy_threshold,
-            )
+    for key in sorted(manifest.groups):
+        sol = rule(key, AnswerDistribution.from_labels(r.answer for r in manifest.groups[key]))
         solutions.append(sol)
-        head_sets[group.key] = set(sol.head_answers)
+        head_sets[key] = set(sol.head_answers)
     labels = {
         rec.id: "head" if rec.answer in head_sets[rec.group] else "tail"
         for rec in manifest.records
@@ -229,16 +170,17 @@ def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAss
 
 
 def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
-    """Total-variation distance between two answer-frequency vectors."""
+    """Total-variation distance between two answer-frequency vectors.
+
+    Summed with math.fsum, which is correctly rounded and so independent of
+    the (hash-randomized) iteration order of the support set.
+    """
     support = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(a, 0.0) - q.get(a, 0.0)) for a in support)
+    return 0.5 * math.fsum(abs(p.get(a, 0.0) - q.get(a, 0.0)) for a in support)
 
 
 def _frequencies(labels: list[str]) -> dict[str, float]:
-    if not labels:
-        return {}
-    dist = AnswerDistribution.from_labels(labels)
-    return dist.probabilities()
+    return AnswerDistribution.from_labels(labels).probabilities()
 
 
 def distribution_report(
@@ -257,23 +199,16 @@ def distribution_report(
     groups = []
     for sol in assignment.solutions:
         key = sol.key
-        member_ids = manifest.groups.get(key, [])
-        head_answers = [
-            manifest.record_by_id(rid).answer
-            for rid in member_ids
-            if assignment.labels.get(rid) == "head"
-        ]
-        tail_answers = [
-            manifest.record_by_id(rid).answer
-            for rid in member_ids
-            if assignment.labels.get(rid) == "tail"
-        ]
+        head_answers: list[str] = []
+        tail_answers: list[str] = []
+        for rec in manifest.groups.get(key, ()):
+            label = assignment.labels.get(rec.id)
+            if label == "head":
+                head_answers.append(rec.answer)
+            elif label == "tail":
+                tail_answers.append(rec.answer)
         in_reference = key in reference.groups
-        ref_answers = (
-            [reference.record_by_id(rid).answer for rid in reference.groups[key]]
-            if in_reference
-            else []
-        )
+        ref_answers = [rec.answer for rec in reference.groups.get(key, ())]
         ref_freq = _frequencies(ref_answers)
         head_freq = _frequencies(head_answers)
         tail_freq = _frequencies(tail_answers)
@@ -313,6 +248,12 @@ def write_split(assignment: SplitAssignment, path: str | Path) -> None:
 def load_split(path: str | Path) -> SplitAssignment:
     """Read a split file written by write_split."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    for g in doc["groups"]:
+        if g["mode"] not in MODES:
+            raise ValueError(
+                f"group ({g['task']}, {g['question_type']}): unknown split mode "
+                f"{g['mode']!r}; expected one of {MODES}"
+            )
     solutions = [
         SplitSolution(
             key=GroupKey(g["task"], g["question_type"]),

@@ -41,7 +41,6 @@ from .debias import (
     MODALITIES,
     PATHS,
     DebiasConfig,
-    LogitBundle,
     LossBreakdown,
     batch_loss_and_grad,
 )
@@ -204,19 +203,6 @@ def _forward_batch(params, feats):
     logits = hidden @ params["head_weight"].T
     logits += params["head_bias"]
     return hidden, logits
-
-
-def forward(params: ToyModelParams, question, video, audio) -> LogitBundle:
-    """Four logit vectors for one sample; unimodal paths see one modality."""
-    d = params["enc_weight"].shape[2]
-    feats = []
-    for name, x in zip(MODALITIES, (question, video, audio)):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape != (1, d):
-            raise ValueError(f"{name} features must have dimension {d}")
-        feats.append(x)
-    _, logits = _forward_batch(params, np.stack(feats))
-    return LogitBundle(**{name: logits[i, 0] for i, name in enumerate(PATHS)})
 
 
 def _backward_batch(params, feats, hidden, grads):

@@ -110,6 +110,12 @@ class TestAccuracyReport:
         with pytest.raises(ValueError, match="a2"):
             accuracy_report(manifest, assignment, preds)
 
+    def test_label_for_id_outside_dataset_is_an_error(self):
+        manifest, assignment, preds = fixture_manifest_and_preds()
+        assignment.labels["ghost"] = "tail"
+        with pytest.raises(ValueError, match="ghost"):
+            accuracy_report(manifest, assignment, preds)
+
     def test_empty_tail_cell_absent(self):
         manifest = make_manifest([("x1", "avqa", "Existential", "yes")])
         assignment = build_assignment(manifest, SplitConfig(mode="conformal"))

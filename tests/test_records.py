@@ -29,7 +29,7 @@ def test_parse_three_line_file(write_jsonl):
     manifest = parse_dataset(path)
     assert len(manifest) == 3
     assert [r.id for r in manifest.records] == ["q1", "q2", "q3"]
-    assert manifest.groups == {
+    assert {key: [rec.id for rec in group] for key, group in manifest.groups.items()} == {
         GroupKey("audio", "Counting"): ["q1", "q2"],
         GroupKey("visual", "Location"): ["q3"],
     }
@@ -83,6 +83,9 @@ def test_question_type_trimmed_not_case_folded(write_jsonl):
 def test_rephrase_of_must_resolve(write_jsonl):
     path = write_jsonl([qa_row(1, rephrase_of="q99")])
     with pytest.raises(DatasetError, match="q99"):
+        parse_dataset(path)
+    path = write_jsonl([qa_row(1), qa_row(2, rephrase_of="q98")], name="dangling.jsonl")
+    with pytest.raises(DatasetError, match=r"line 2: rephrase_of 'q98'"):
         parse_dataset(path)
     path = write_jsonl([qa_row(1), qa_row(2, rephrase_of="q1")], name="ok.jsonl")
     manifest = parse_dataset(path)
@@ -169,7 +172,8 @@ def test_grouping_partitions_record_ids(ids, tasks, qtypes):
         for i, t, qt in zip(ids, tasks, qtypes)
     ]
     manifest = DatasetManifest.from_records(records)
-    members = [rid for group in manifest.groups.values() for rid in group]
-    assert sorted(members) == sorted(r.id for r in records)
+    members = [rec for group in manifest.groups.values() for rec in group]
+    # groups hold the record objects themselves, each exactly once
+    assert sorted(map(id, members)) == sorted(map(id, records))
     # rebuilding from the same records yields identical grouping
     assert DatasetManifest.from_records(records).groups == manifest.groups

@@ -1,6 +1,11 @@
 """Head/tail split rules: coverage-constrained and legacy multiplier."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from avqabench.balance import AnswerDistribution, normalized_entropy
 from avqabench.records import DatasetManifest, GroupKey, QARecord, parse_dataset
 from avqabench.split import (
-    GroupCounts,
     SplitConfig,
     build_assignment,
     conformal_split,
@@ -21,6 +25,7 @@ from avqabench.split import (
 from conftest import qa_row
 
 KEY = GroupKey("avqa", "Counting")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def minimal_feasible_head_size(counts):
@@ -49,21 +54,21 @@ count_maps = st.dictionaries(
 
 class TestConformal:
     def test_dominant_class(self):
-        sol = conformal_split(GroupCounts(KEY, {"x": 90, "y": 5, "z": 5}))
+        sol = conformal_split(KEY, AnswerDistribution({"x": 90, "y": 5, "z": 5}))
         assert sol.head_size == 1
         assert sol.k == pytest.approx(1 / 3)
         assert sol.head_answers == ("x",)
         assert sol.coverage == pytest.approx(0.90)
 
     def test_equal_counts_get_nonempty_head(self):
-        sol = conformal_split(GroupCounts(KEY, {"x": 10, "y": 10, "z": 10}))
+        sol = conformal_split(KEY, AnswerDistribution({"x": 10, "y": 10, "z": 10}))
         # h=1 covers 1/3 < 2/3; h=2 covers 2/3 >= 1/3; ties break by label
         assert sol.head_size == 2
         assert sol.head_answers == ("x", "y")
         assert sol.tail_answers == ("z",)
 
     def test_single_class(self):
-        sol = conformal_split(GroupCounts(KEY, {"x": 100}))
+        sol = conformal_split(KEY, AnswerDistribution({"x": 100}))
         assert sol.head_size == 1
         assert sol.k == 1.0
         assert sol.head_answers == ("x",)
@@ -71,18 +76,18 @@ class TestConformal:
 
     def test_boundary_equality_is_exact(self):
         # 4/6 == 1 - 1/3 exactly; a float comparison would reject h=1
-        sol = conformal_split(GroupCounts(KEY, {"x": 4, "y": 1, "z": 1}))
+        sol = conformal_split(KEY, AnswerDistribution({"x": 4, "y": 1, "z": 1}))
         assert sol.head_size == 1
         assert sol.head_answers == ("x",)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            conformal_split(GroupCounts(KEY, {}))
+            conformal_split(KEY, AnswerDistribution({}))
 
     @settings(max_examples=200)
     @given(counts=count_maps)
     def test_matches_exhaustive_oracle(self, counts):
-        sol = conformal_split(GroupCounts(KEY, counts))
+        sol = conformal_split(KEY, AnswerDistribution(counts))
         n = len(counts)
         total = sum(counts.values())
         assert sol.head_size == minimal_feasible_head_size(counts)
@@ -99,18 +104,18 @@ class TestConformal:
 
 class TestLegacy:
     def test_equal_counts_all_tail(self):
-        sol = legacy_split(GroupCounts(KEY, {"x": 10, "y": 10, "z": 10}))
+        sol = legacy_split(KEY, AnswerDistribution({"x": 10, "y": 10, "z": 10}))
         assert sol.head_answers == ()
         assert sol.tail_answers == ("x", "y", "z")
 
     def test_dominant_class(self):
         # mean 33.33, threshold 40: only x exceeds it
-        sol = legacy_split(GroupCounts(KEY, {"x": 90, "y": 5, "z": 5}))
+        sol = legacy_split(KEY, AnswerDistribution({"x": 90, "y": 5, "z": 5}))
         assert sol.head_answers == ("x",)
         assert sol.tail_answers == ("y", "z")
 
     def test_single_class_degenerates_to_tail(self):
-        sol = legacy_split(GroupCounts(KEY, {"x": 100}))
+        sol = legacy_split(KEY, AnswerDistribution({"x": 100}))
         assert sol.head_answers == ()
         assert sol.tail_answers == ("x",)
 
@@ -120,8 +125,8 @@ class TestLegacy:
     )
     def test_pathology_witness_on_any_equal_count_group(self, count, n):
         counts = {f"a{i}": count for i in range(n)}
-        legacy = legacy_split(GroupCounts(KEY, counts), multiplier=1.2)
-        conformal = conformal_split(GroupCounts(KEY, counts))
+        legacy = legacy_split(KEY, AnswerDistribution(counts))
+        conformal = conformal_split(KEY, AnswerDistribution(counts))
         assert legacy.head_size == 0
         assert conformal.head_size >= 1
 
@@ -199,6 +204,16 @@ class TestAssignment:
         write_split(build_assignment(manifest, SplitConfig()), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unknown_mode_in_split_file_rejected(self, tmp_path):
+        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
+        path = tmp_path / "split.json"
+        write_split(build_assignment(manifest, SplitConfig()), path)
+        doc = json.loads(path.read_text())
+        doc["groups"][0]["mode"] = "median"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"\(avqa, Counting\).*'median'"):
+            load_split(path)
+
 
 class TestDistributionReport:
     def test_identical_head_has_zero_tv(self):
@@ -243,3 +258,24 @@ class TestDistributionReport:
         assert total_variation({"a": 1.0}, {"a": 1.0}) == 0.0
         assert total_variation({"a": 1.0}, {"b": 1.0}) == 1.0
         assert total_variation({"a": 0.5, "b": 0.5}, {"a": 1.0}) == pytest.approx(0.5)
+
+    def test_total_variation_independent_of_hash_seed(self):
+        # the support is a set of strings, so its iteration order follows
+        # PYTHONHASHSEED; the distance must not
+        code = (
+            "from avqabench.split import total_variation\n"
+            "cp = {f'ans{i:02d}': (i * 7) % 13 + 1 for i in range(30)}\n"
+            "cq = {f'ans{i:02d}': (i * 5) % 11 + 1 for i in range(10, 45)}\n"
+            "p = {a: c / sum(cp.values()) for a, c in cp.items()}\n"
+            "q = {a: c / sum(cq.values()) for a, c in cq.items()}\n"
+            "print(repr(total_variation(p, q)))\n"
+        )
+        outputs = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(SRC))
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout.strip())
+        assert len(outputs) == 1, sorted(outputs)

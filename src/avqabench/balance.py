@@ -3,8 +3,9 @@
 A group's answer distribution is scored by Shannon entropy in bits and by
 normalized entropy, the ratio of the entropy to that of a uniform
 distribution over the same number of answer classes. Normalized entropy
-lies in [0, 1] and is independent of the logarithm base; groups scoring
-below a threshold (default 0.9) are treated as imbalanced.
+lies in [0, 1] and is independent of the logarithm base; a group is
+balanced when it scores at least BALANCED_ENTROPY (0.9) and imbalanced
+otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+BALANCED_ENTROPY = 0.9
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,6 @@ def normalized_entropy(dist: AnswerDistribution) -> float:
     return entropy(dist) / math.log2(n)
 
 
-def is_imbalanced(dist: AnswerDistribution, threshold: float = 0.9) -> bool:
-    """True iff the group's normalized entropy falls below the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    return normalized_entropy(dist) < threshold
+def is_imbalanced(dist: AnswerDistribution) -> bool:
+    """True iff the group's normalized entropy falls below BALANCED_ENTROPY."""
+    return normalized_entropy(dist) < BALANCED_ENTROPY

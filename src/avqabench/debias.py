@@ -18,8 +18,8 @@ gradients for a batch at once, from logits stacked as (4, n, C) in `PATHS`
 order: question, video, audio, fusion. Every KL is taken in nats in log
 space, as sum softmax(z_p) * (log_softmax(z_p) - log_softmax(z_q)), which is
 exact and finite for any finite logits, however small a probability gets.
-The single-sample functions are batches of one; their gradients are checked
-against central finite differences by `finite_diff_check`.
+`finite_diff_check` compares its gradients for one sample, a (4, C) array in
+the same order, against central finite differences.
 """
 
 from __future__ import annotations
@@ -55,43 +55,6 @@ class DebiasConfig:
 
 
 @dataclass
-class LogitBundle:
-    """Fusion plus three single-modality score vectors for one sample."""
-
-    fusion: np.ndarray
-    question: np.ndarray
-    video: np.ndarray
-    audio: np.ndarray
-
-    def __post_init__(self):
-        self.fusion = np.asarray(self.fusion, dtype=np.float64)
-        self.question = np.asarray(self.question, dtype=np.float64)
-        self.video = np.asarray(self.video, dtype=np.float64)
-        self.audio = np.asarray(self.audio, dtype=np.float64)
-        shape = self.fusion.shape
-        if self.fusion.ndim != 1 or shape[0] < 2:
-            raise ValueError("logit vectors must be 1-D with at least 2 classes")
-        for name in ("question", "video", "audio"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} logits must have shape {shape}")
-        for name in ("fusion", "question", "video", "audio"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} logits must be finite")
-
-    @property
-    def num_classes(self) -> int:
-        return self.fusion.shape[0]
-
-    def head(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-    def replace_entry(self, head: str, index: int, value: float) -> "LogitBundle":
-        vectors = {n: self.head(n).copy() for n in PATHS}
-        vectors[head][index] = value
-        return LogitBundle(**vectors)
-
-
-@dataclass
 class LossBreakdown:
     answer: float
     discrepancy: float
@@ -109,19 +72,6 @@ class LossBreakdown:
             "cycle": self.cycle,
             "total": self.total,
         }
-
-
-@dataclass
-class GradientBundle:
-    """d(total loss)/d(logits) for each of the four heads."""
-
-    fusion: np.ndarray
-    question: np.ndarray
-    video: np.ndarray
-    audio: np.ndarray
-
-    def head(self, name: str) -> np.ndarray:
-        return getattr(self, name)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -177,9 +127,11 @@ def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfi
     """
     z = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    if z.ndim != 3 or z.shape[0] != len(PATHS) or labels.shape != z.shape[1:2]:
+    shape_ok = z.ndim == 3 and z.shape[0] == len(PATHS) and z.shape[2] >= 2
+    if not shape_ok or labels.shape != z.shape[1:2]:
         raise ValueError(
-            f"expected (4, n, C) logits and (n,) labels, got {z.shape} and {labels.shape}"
+            f"expected (4, n, C) logits with C >= 2 and (n,) labels, "
+            f"got {z.shape} and {labels.shape}"
         )
     n, c = z.shape[1:]
     if labels.min() < 0 or labels.max() >= c:
@@ -213,60 +165,30 @@ def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfi
     return answer, discrepancy, cycle, grads
 
 
-def _batch_of_one(bundle: LogitBundle, label: int, cfg: DebiasConfig):
-    logits = np.stack([bundle.head(name) for name in PATHS])[:, None, :]
-    return batch_loss_and_grad(logits, np.array([label]), cfg)
-
-
-def answer_loss(fusion_logits: np.ndarray, label: int) -> float:
-    """Cross entropy -log softmax(fusion)[label], computed in log space."""
-    z = np.asarray(fusion_logits, dtype=np.float64)
-    return float(_batch_of_one(LogitBundle(z, z, z, z), label, DebiasConfig())[0][0])
-
-
-def discrepancy_loss(bundle: LogitBundle, cfg: DebiasConfig) -> float:
-    """alpha * sum_k 1/(KL(fusion || modality_k) + eps) on softmaxed heads."""
-    return float(_batch_of_one(bundle, 0, cfg)[1][0])
-
-
-def cycle_loss(bundle: LogitBundle, cfg: DebiasConfig) -> float:
-    """beta * sum of KL over the cyclic modality pairs, on softmaxed heads."""
-    return float(_batch_of_one(bundle, 0, cfg)[2][0])
-
-
-def total_loss(bundle: LogitBundle, label: int, cfg: DebiasConfig) -> LossBreakdown:
-    answer, discrepancy, cycle, _ = _batch_of_one(bundle, label, cfg)
-    return LossBreakdown(
-        answer=float(answer[0]), discrepancy=float(discrepancy[0]), cycle=float(cycle[0])
-    )
-
-
-def loss_gradients(bundle: LogitBundle, label: int, cfg: DebiasConfig) -> GradientBundle:
-    """Closed-form d(total)/d(logits) for all four heads (see batch_loss_and_grad)."""
-    grads = _batch_of_one(bundle, label, cfg)[3]
-    return GradientBundle(**{name: grads[i, 0] for i, name in enumerate(PATHS)})
-
-
 def finite_diff_check(
-    bundle: LogitBundle, label: int, cfg: DebiasConfig, step: float = 1e-5
+    logits: np.ndarray, label: int, cfg: DebiasConfig, step: float = 1e-5
 ) -> float:
     """Worst relative error of the analytic gradient vs central differences.
 
-    Perturbs every logit entry of every head by +/-step, evaluates all the
-    perturbed bundles as one batch, and compares (L(+) - L(-)) / (2 step)
-    against the closed form, with denominator max(|analytic|, |numeric|,
-    1e-8). L(+) - L(-) is summed from the differences of the three loss
-    parts, so rounding in a large part cannot swamp the change in a small
-    one.
+    logits is one sample's (4, C) array in PATHS order, C >= 2, all finite.
+    Perturbs every entry by +/-step, evaluates all the perturbed samples as
+    one batch, and compares (L(+) - L(-)) / (2 step) against the closed
+    form, with denominator max(|analytic|, |numeric|, 1e-8). L(+) - L(-) is
+    summed from the differences of the three loss parts, so rounding in a
+    large part cannot swamp the change in a small one.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    base = np.stack([bundle.head(name) for name in PATHS])  # (4, C)
+    base = np.asarray(logits, dtype=np.float64)
+    if base.ndim != 2 or base.shape[0] != len(PATHS) or base.shape[1] < 2:
+        raise ValueError(f"expected (4, C) logits with C >= 2, got shape {base.shape}")
+    if not np.all(np.isfinite(base)):
+        raise ValueError("logits must be finite")
     entries = base.size
     shifts = step * np.eye(entries).reshape(entries, *base.shape)
     perturbed = np.concatenate([base + shifts, base - shifts]).transpose(1, 0, 2)
     *parts, _ = batch_loss_and_grad(perturbed, np.full(2 * entries, label), cfg)
     numeric = sum(part[:entries] - part[entries:] for part in parts) / (2.0 * step)
-    analytic = _batch_of_one(bundle, label, cfg)[3].reshape(-1)
+    analytic = batch_loss_and_grad(base[:, None], np.array([label]), cfg)[3].reshape(-1)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / scale))

@@ -22,8 +22,6 @@ from .records import (
 )
 from .split import SplitAssignment
 
-MATCH_POLICIES = ("normalized", "exact")
-
 _TERMINAL_PUNCT = ".,!?;:"
 
 
@@ -36,17 +34,13 @@ def normalize_answer(text: str) -> str:
     return " ".join(text.lower().split()).rstrip(_TERMINAL_PUNCT + " ")
 
 
-def match_answer(prediction: str, gold: str, policy: str = "normalized") -> bool:
-    """Exact match after normalization (default) or raw equality.
+def match_answer(prediction: str, gold: str) -> bool:
+    """Exact match after normalization.
 
-    No numeral/word equivalence: "two" and "2" do not match under either
-    policy; the answer vocabulary is a closed label set.
+    No numeral/word equivalence: "two" and "2" do not match; the answer
+    vocabulary is a closed label set.
     """
-    if policy == "normalized":
-        return normalize_answer(prediction) == normalize_answer(gold)
-    if policy == "exact":
-        return prediction == gold
-    raise ValueError(f"unknown match policy {policy!r}; expected one of {MATCH_POLICIES}")
+    return normalize_answer(prediction) == normalize_answer(gold)
 
 
 @dataclass
@@ -170,7 +164,6 @@ def accuracy_report(
     manifest: DatasetManifest,
     assignment: SplitAssignment,
     preds: list[PredictionRecord],
-    policy: str = "normalized",
 ) -> EvalReport:
     """Score predictions against gold answers per head/tail cell.
 
@@ -199,7 +192,7 @@ def accuracy_report(
     for rec in manifest.records:
         part = assignment.labels[rec.id]
         key = (rec.task, rec.question_type, part)
-        raw.setdefault(key, CellStats()).add(match_answer(by_id[rec.id], rec.answer, policy))
+        raw.setdefault(key, CellStats()).add(match_answer(by_id[rec.id], rec.answer))
     ordered = {key: raw[key] for key in sorted(raw)}
     return EvalReport(cells=ordered)
 
@@ -271,9 +264,7 @@ class AgreementStats:
         }
 
 
-def agreement_stats(
-    histogram: Mapping[int, int], raters: int, categories: int = 2
-) -> AgreementStats:
+def agreement_stats(histogram: Mapping[int, int], raters: int) -> AgreementStats:
     """Observed agreement, chance agreement, kappa, and majority pass rate.
 
     `histogram` maps the number of positive votes (0..raters) to the item
@@ -286,8 +277,6 @@ def agreement_stats(
     """
     if raters < 2:
         raise ValueError("at least two raters are required")
-    if categories < 2:
-        raise ValueError("at least two categories are required")
     cleaned: dict[int, int] = {}
     for votes, items in histogram.items():
         votes = int(votes)
@@ -316,7 +305,6 @@ def agreement_stats(
     total_votes = n_items * raters
     p_positive = positive_votes / total_votes
     p_negative = 1.0 - p_positive
-    # extra never-voted categories contribute zero marginal mass
     chance = p_positive**2 + p_negative**2
     kappa = None if chance == 1.0 else (observed - chance) / (1.0 - chance)
     return AgreementStats(

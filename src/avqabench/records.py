@@ -83,8 +83,13 @@ class DatasetManifest:
 
     @classmethod
     def from_records(cls, records: list[QARecord]) -> "DatasetManifest":
+        """Group the records; raises DatasetError naming a repeated id."""
         groups: dict[GroupKey, list[QARecord]] = {}
+        ids: set[str] = set()
         for rec in records:
+            if rec.id in ids:
+                raise DatasetError(f"duplicate id {rec.id!r}")
+            ids.add(rec.id)
             groups.setdefault(rec.group, []).append(rec)
         return cls(records=list(records), groups=groups)
 
@@ -214,13 +219,6 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         return not self.missing_predictions and not self.orphan_predictions
-
-    def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "missing_predictions": list(self.missing_predictions),
-            "orphan_predictions": list(self.orphan_predictions),
-        }
 
 
 def validate_pair(

@@ -13,8 +13,8 @@ Two rules are provided:
   empty, which is the pathology the coverage-constrained rule removes.
 
 Both rules flag a group as balanced when its normalized entropy is at
-least BALANCED_ENTROPY (0.9). Ties between equal counts are broken by
-ascending answer label so that identical inputs always yield identical
+least balance.BALANCED_ENTROPY (0.9). Ties between equal counts are broken
+by ascending answer label so that identical inputs always yield identical
 splits.
 """
 
@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .balance import AnswerDistribution, normalized_entropy
+from .balance import BALANCED_ENTROPY, AnswerDistribution, normalized_entropy
 from .records import DatasetManifest, GroupKey
 
 MODES = ("conformal", "legacy")
 LEGACY_MULTIPLIER = 1.2
-BALANCED_ENTROPY = 0.9
 
 
 @dataclass
@@ -194,7 +193,8 @@ def distribution_report(
     reference (e.g. a training split), the head records, and the tail
     records, plus total-variation distances TV(reference, head) and
     TV(reference, tail). Groups missing from the reference are flagged
-    rather than fatal; an empty tail yields a null TV.
+    rather than fatal; an empty tail yields a null TV. A record of a split
+    group with no split label is an error.
     """
     groups = []
     for sol in assignment.solutions:
@@ -203,10 +203,9 @@ def distribution_report(
         tail_answers: list[str] = []
         for rec in manifest.groups.get(key, ()):
             label = assignment.labels.get(rec.id)
-            if label == "head":
-                head_answers.append(rec.answer)
-            elif label == "tail":
-                tail_answers.append(rec.answer)
+            if label is None:
+                raise ValueError(f"record {rec.id!r} missing from split assignment")
+            (head_answers if label == "head" else tail_answers).append(rec.answer)
         in_reference = key in reference.groups
         ref_answers = [rec.answer for rec in reference.groups.get(key, ())]
         ref_freq = _frequencies(ref_answers)

@@ -24,9 +24,8 @@ blocks, each stacked over modalities or paths in `PATHS` order:
 Features are stacked the same way, (3, n, d), so a training step runs the
 three encoders, the shared head, `debias.batch_loss_and_grad` and the
 backward pass each as one stacked computation over all paths. Training is
-plain mini-batch SGD (optionally with momentum) on answer + discrepancy +
-cycle losses, with gradients propagated through the affine maps in closed
-form.
+plain mini-batch SGD on answer + discrepancy + cycle losses, with gradients
+propagated through the affine maps in closed form.
 """
 
 from __future__ import annotations
@@ -157,7 +156,6 @@ class TrainConfig:
     learning_rate: float = 1e-2
     epochs: int = 50
     batch_size: int = 32
-    optimizer: str = "sgd"  # or "sgd_momentum" (momentum 0.9)
     debias: DebiasConfig = field(default_factory=DebiasConfig)
     seed: int = 0
     hidden_dim: int = 32
@@ -169,8 +167,6 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.optimizer not in ("sgd", "sgd_momentum"):
-            raise ValueError("optimizer must be 'sgd' or 'sgd_momentum'")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be at least 1")
 
@@ -225,21 +221,6 @@ def _backward_batch(params, feats, hidden, grads):
     }
 
 
-class _SGD:
-    def __init__(self, lr: float, momentum: float):
-        self.lr = lr
-        self.momentum = momentum
-        self.velocity = {}
-
-    def step(self, params, grads):
-        for name, grad in grads.items():
-            if self.momentum > 0.0:
-                vel = self.velocity.get(name)
-                grad = grad if vel is None else self.momentum * vel + grad
-                self.velocity[name] = grad
-            params[name] -= self.lr * grad
-
-
 def train(
     spec: SyntheticSpec, tcfg: TrainConfig
 ) -> tuple[ToyModelParams, list[LossBreakdown]]:
@@ -250,8 +231,6 @@ def train(
     """
     train_set, _, _ = generate_synthetic(spec)
     params = init_params(spec, tcfg)
-    momentum = 0.9 if tcfg.optimizer == "sgd_momentum" else 0.0
-    opt = _SGD(tcfg.learning_rate, momentum)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 3]))
     n = len(train_set)
     trace: list[LossBreakdown] = []
@@ -267,7 +246,8 @@ def train(
             )
             sums += (l_a.sum(), l_d.sum(), l_c.sum())
             logit_grads /= len(idx)
-            opt.step(params, _backward_batch(params, feats, hidden, logit_grads))
+            for name, grad in _backward_batch(params, feats, hidden, logit_grads).items():
+                params[name] -= tcfg.learning_rate * grad
         epoch_loss = LossBreakdown(
             answer=sums[0] / n, discrepancy=sums[1] / n, cycle=sums[2] / n
         )
@@ -277,20 +257,6 @@ def train(
     return params, trace
 
 
-@dataclass
-class ToyEvalResult:
-    head_acc: float | None
-    tail_acc: float | None
-    overall_acc: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "head_acc": self.head_acc,
-            "tail_acc": self.tail_acc,
-            "overall_acc": self.overall_acc,
-        }
-
-
 def _fusion_accuracy(params, dataset) -> tuple[int, int]:
     _, logits = _forward_batch(params, dataset.features)
     predicted = logits[3].argmax(axis=-1)
@@ -298,37 +264,27 @@ def _fusion_accuracy(params, dataset) -> tuple[int, int]:
 
 
 def evaluate_toy(
-    params: ToyModelParams,
-    head_test: ToyDataset | None,
-    tail_test: ToyDataset | None,
-) -> ToyEvalResult:
+    params: ToyModelParams, head_test: ToyDataset, tail_test: ToyDataset
+) -> dict:
     """Fusion-argmax accuracy on head, tail, and both pooled."""
-    correct = {"head": None, "tail": None}
-    counts = {"head": 0, "tail": 0}
-    for name, dataset in (("head", head_test), ("tail", tail_test)):
-        if dataset is not None and len(dataset) > 0:
-            correct[name], counts[name] = _fusion_accuracy(params, dataset)
-    total = counts["head"] + counts["tail"]
-    pooled = (
-        ((correct["head"] or 0) + (correct["tail"] or 0)) / total if total else None
-    )
-    return ToyEvalResult(
-        head_acc=correct["head"] / counts["head"] if counts["head"] else None,
-        tail_acc=correct["tail"] / counts["tail"] if counts["tail"] else None,
-        overall_acc=pooled,
-    )
+    head_correct, head_n = _fusion_accuracy(params, head_test)
+    tail_correct, tail_n = _fusion_accuracy(params, tail_test)
+    return {
+        "head_acc": head_correct / head_n,
+        "tail_acc": tail_correct / tail_n,
+        "overall_acc": (head_correct + tail_correct) / (head_n + tail_n),
+    }
 
 
 def run_experiment(spec: SyntheticSpec, tcfg: TrainConfig) -> dict:
     """One training run plus its head/tail evaluation."""
     params, trace = train(spec, tcfg)
     _, head_test, tail_test = generate_synthetic(spec)
-    result = evaluate_toy(params, head_test, tail_test)
     return {
         "seed": tcfg.seed,
         "alpha": tcfg.debias.alpha,
         "beta": tcfg.debias.beta,
-        **result.to_dict(),
+        **evaluate_toy(params, head_test, tail_test),
         "final_loss": trace[-1].to_dict(),
     }
 

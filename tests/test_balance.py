@@ -70,14 +70,6 @@ def test_imbalance_examples():
     assert not is_imbalanced(AnswerDistribution({"a": 2, "b": 1, "c": 1}))  # ~0.946
 
 
-def test_imbalance_threshold_validated():
-    dist = AnswerDistribution({"a": 1, "b": 1})
-    with pytest.raises(ValueError):
-        is_imbalanced(dist, threshold=1.5)
-    with pytest.raises(ValueError):
-        is_imbalanced(dist, threshold=-0.1)
-
-
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         AnswerDistribution({"a": -1})

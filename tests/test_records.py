@@ -43,6 +43,15 @@ def test_duplicate_id_names_both_lines(write_jsonl):
         parse_dataset(path)
 
 
+def test_from_records_rejects_a_repeated_id():
+    records = [
+        QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="a")
+        for i in range(3)
+    ]
+    with pytest.raises(DatasetError, match="duplicate id 'q1'"):
+        DatasetManifest.from_records(records + [records[1]])
+
+
 def test_empty_file_gives_empty_manifest(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

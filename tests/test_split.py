@@ -254,6 +254,13 @@ class TestDistributionReport:
         assert group["missing_in_reference"]
         assert group["tv_reference_head"] is None
 
+    def test_record_without_a_label_is_an_error(self):
+        manifest = _manifest_from_counts({"x": 4, "y": 1, "z": 1})
+        assignment = build_assignment(manifest, SplitConfig(mode="conformal"))
+        del assignment.labels["q5"]
+        with pytest.raises(ValueError, match="record 'q5' missing from split assignment"):
+            distribution_report(manifest, assignment, manifest)
+
     def test_total_variation_basics(self):
         assert total_variation({"a": 1.0}, {"a": 1.0}) == 0.0
         assert total_variation({"a": 1.0}, {"b": 1.0}) == 1.0

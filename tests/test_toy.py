@@ -1,7 +1,5 @@
 """Stacked toy model: backward pass, determinism, divergence, parameter blocks."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -81,12 +79,3 @@ def test_parameter_count_counts_the_shared_head_once():
     copy = params.copy()
     copy["head_weight"] += 1.0
     assert not np.array_equal(copy["head_weight"], params["head_weight"])
-
-
-def test_momentum_run_trains_and_differs_from_plain_sgd():
-    cfg = TrainConfig(epochs=5, batch_size=16, hidden_dim=5, optimizer="sgd_momentum")
-    params, trace = train(SPEC, cfg)
-    assert all(math.isfinite(loss.total) for loss in trace)
-    assert trace[-1].total < trace[0].total
-    plain, _ = train(SPEC, TrainConfig(epochs=5, batch_size=16, hidden_dim=5))
-    assert not np.allclose(params["head_weight"], plain["head_weight"])

@@ -15,11 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .records import (
-    DatasetManifest,
-    PredictionRecord,
-    validate_pair,
-)
+from .records import DatasetManifest, validate_pair
 from .split import SplitAssignment
 
 _TERMINAL_PUNCT = ".,!?;:"
@@ -160,18 +156,10 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def accuracy_report(
-    manifest: DatasetManifest,
-    assignment: SplitAssignment,
-    preds: list[PredictionRecord],
-) -> EvalReport:
-    """Score predictions against gold answers per head/tail cell.
-
-    Requires a complete pairing: every gold id predicted, no orphan
-    predictions, every gold id present in the split assignment, and no
-    split label for an id outside the dataset. Unresolved ids raise with
-    the offending ids listed.
-    """
+def _check_pairing(
+    manifest: DatasetManifest, assignment: SplitAssignment, preds: dict[str, str]
+) -> None:
+    """Raise on the first unpaired id: prediction, then split label."""
     pairing = validate_pair(manifest, preds)
     if not pairing.valid:
         raise ValueError(
@@ -181,18 +169,49 @@ def accuracy_report(
     unassigned = [rec.id for rec in manifest.records if rec.id not in assignment.labels]
     if unassigned:
         raise ValueError(f"records missing from split assignment: {unassigned!r}")
-    if len(assignment.labels) != len(manifest):
-        gold_ids = {rec.id for rec in manifest.records}
-        extra = [rid for rid in assignment.labels if rid not in gold_ids]
-        if extra:
-            raise ValueError(f"split assignment labels ids not in the dataset: {extra!r}")
+    gold_ids = {rec.id for rec in manifest.records}
+    extra = [rid for rid in assignment.labels if rid not in gold_ids]
+    if extra:
+        raise ValueError(f"split assignment labels ids not in the dataset: {extra!r}")
 
-    by_id = {p.id: p.prediction for p in preds}
+
+def accuracy_report(
+    manifest: DatasetManifest,
+    assignment: SplitAssignment,
+    preds: dict[str, str],
+) -> EvalReport:
+    """Score predictions against gold answers per head/tail cell.
+
+    Requires a complete pairing: every gold id predicted, no orphan
+    predictions, every gold id present in the split assignment, and no
+    split label for an id outside the dataset. Unresolved ids raise with
+    the offending ids listed.
+
+    Scoring is one pass over the records. Each distinct string is
+    normalized once; the ids are only cross-checked in full when their
+    counts disagree or a lookup misses.
+    """
+    labels = assignment.labels
+    if not len(preds) == len(labels) == len(manifest):
+        _check_pairing(manifest, assignment, preds)
+    normalized: dict[str, str] = {}
     raw: dict[tuple[str, str, str], CellStats] = {}
     for rec in manifest.records:
-        part = assignment.labels[rec.id]
+        prediction = preds.get(rec.id)
+        part = labels.get(rec.id)
+        if prediction is None or part is None:
+            _check_pairing(manifest, assignment, preds)  # raises: this id is unpaired
         key = (rec.task, rec.question_type, part)
-        raw.setdefault(key, CellStats()).add(match_answer(by_id[rec.id], rec.answer))
+        stats = raw.get(key)
+        if stats is None:
+            raw[key] = stats = CellStats()
+        gold = normalized.get(rec.answer)
+        if gold is None:
+            gold = normalized[rec.answer] = normalize_answer(rec.answer)
+        guess = normalized.get(prediction)
+        if guess is None:
+            guess = normalized[prediction] = normalize_answer(prediction)
+        stats.add(guess == gold)
     ordered = {key: raw[key] for key in sorted(raw)}
     return EvalReport(cells=ordered)
 

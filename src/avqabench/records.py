@@ -5,12 +5,17 @@ Datasets are line-delimited JSON, one record per line:
     {"id", "task", "question_type", "question", "answer",
      "video_id"?, "rephrase_of"?}
 
-Prediction files are line-delimited JSON with {"id", "prediction"}.
-Unknown extra fields on dataset records are preserved on round-trip but
-otherwise ignored. Records are grouped by (task, question_type): each
-group holds the record objects themselves, the same objects as the record
-list and in file order, so grouping is rebuilt identically from the same
-records.
+Prediction files are line-delimited JSON with {"id", "prediction"}, and
+parse to a dict from id to prediction text, in file order.
+
+In both, lines are separated by "\n" only and each is decoded as UTF-8 on
+its own. A string may hold any other line or paragraph separator raw
+(U+2028, U+0085, form feed, ...), and a "\r" before the "\n" is JSON
+whitespace. Unknown extra fields on dataset records are preserved on
+round-trip but otherwise ignored. Records are grouped by (task,
+question_type): each group holds the record objects themselves, the same
+objects as the record list and in file order, so grouping is rebuilt
+identically from the same records.
 """
 
 from __future__ import annotations
@@ -18,26 +23,33 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 TASKS = ("audio", "visual", "avqa")
 
-_REQUIRED_FIELDS = ("id", "task", "question_type", "question", "answer")
-_OPTIONAL_FIELDS = ("video_id", "rephrase_of")
+# Decodes a line that is one JSON value and its "\n", with nothing around
+# them; any other line goes through json.loads, so every line gets the
+# standard library's result or its error.
+_raw_decode = json.JSONDecoder().raw_decode
+# Popped in place of a field the line does not have.
+_MISSING = object()
 
 
 class DatasetError(ValueError):
     """A dataset or prediction file violates the line-delimited contract."""
 
 
-@dataclass(frozen=True, order=True)
-class GroupKey:
-    """Grouping key for balance and split operations."""
+class GroupKey(NamedTuple):
+    """Grouping key for balance and split operations.
+
+    A tuple, so the plain pair (task, question_type) finds it in a dict.
+    """
 
     task: str
     question_type: str
 
 
-@dataclass
+@dataclass(slots=True)
 class QARecord:
     id: str
     task: str
@@ -47,10 +59,6 @@ class QARecord:
     video_id: str | None = None
     rephrase_of: str | None = None
     extras: dict = field(default_factory=dict)
-
-    @property
-    def group(self) -> GroupKey:
-        return GroupKey(self.task, self.question_type)
 
     def to_dict(self) -> dict:
         out = {
@@ -69,12 +77,6 @@ class QARecord:
 
 
 @dataclass
-class PredictionRecord:
-    id: str
-    prediction: str
-
-
-@dataclass
 class DatasetManifest:
     """Ordered records plus the derived (task, question_type) grouping."""
 
@@ -90,76 +92,98 @@ class DatasetManifest:
             if rec.id in ids:
                 raise DatasetError(f"duplicate id {rec.id!r}")
             ids.add(rec.id)
-            groups.setdefault(rec.group, []).append(rec)
+            key = (rec.task, rec.question_type)
+            group = groups.get(key)
+            if group is None:
+                groups[GroupKey(*key)] = group = []
+            group.append(rec)
         return cls(records=list(records), groups=groups)
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def _require_str(raw: dict, key: str, line_no: int) -> str:
-    if key not in raw:
-        raise DatasetError(f"line {line_no}: missing field '{key}'")
-    value = raw[key]
-    if not isinstance(value, str):
-        raise DatasetError(f"line {line_no}: field '{key}' must be a string")
-    return value
+def _field_error(line_no: int, key: str, value) -> DatasetError:
+    """The error for a required field that is absent or not a string."""
+    if value is _MISSING:
+        return DatasetError(f"line {line_no}: missing field '{key}'")
+    return DatasetError(f"line {line_no}: field '{key}' must be a string")
 
 
 def _parse_record_line(raw: dict, line_no: int) -> QARecord:
-    rec_id = _require_str(raw, "id", line_no)
+    """Build a record from a freshly decoded line, consuming `raw`.
+
+    Each known field is popped and checked in turn, so the first problem
+    on the line is the one reported; the fields left over are the extras.
+    """
+    rec_id = raw.pop("id", _MISSING)
+    if type(rec_id) is not str:
+        raise _field_error(line_no, "id", rec_id)
     if not rec_id:
         raise DatasetError(f"line {line_no}: field 'id' must be non-empty")
-    task = _require_str(raw, "task", line_no).strip()
+    task = raw.pop("task", _MISSING)
+    if type(task) is not str:
+        raise _field_error(line_no, "task", task)
+    task = task.strip()
     if task not in TASKS:
         raise DatasetError(
             f"line {line_no}: field 'task' must be one of {'/'.join(TASKS)}, got {task!r}"
         )
     # question_type labels form a closed set; compare case-sensitively after
     # trimming surrounding whitespace only.
-    question_type = _require_str(raw, "question_type", line_no).strip()
+    question_type = raw.pop("question_type", _MISSING)
+    if type(question_type) is not str:
+        raise _field_error(line_no, "question_type", question_type)
+    question_type = question_type.strip()
     if not question_type:
         raise DatasetError(f"line {line_no}: field 'question_type' must be non-empty")
-    question = _require_str(raw, "question", line_no)
-    answer = _require_str(raw, "answer", line_no)
+    question = raw.pop("question", _MISSING)
+    if type(question) is not str:
+        raise _field_error(line_no, "question", question)
+    answer = raw.pop("answer", _MISSING)
+    if type(answer) is not str:
+        raise _field_error(line_no, "answer", answer)
 
-    video_id = raw.get("video_id")
-    if video_id is not None and not isinstance(video_id, str):
+    video_id = raw.pop("video_id", None)
+    if video_id is not None and type(video_id) is not str:
         raise DatasetError(f"line {line_no}: field 'video_id' must be a string")
-    rephrase_of = raw.get("rephrase_of")
-    if rephrase_of is not None and not isinstance(rephrase_of, str):
+    rephrase_of = raw.pop("rephrase_of", None)
+    if rephrase_of is not None and type(rephrase_of) is not str:
         raise DatasetError(f"line {line_no}: field 'rephrase_of' must be a string")
-
-    extras = {
-        k: v
-        for k, v in raw.items()
-        if k not in _REQUIRED_FIELDS and k not in _OPTIONAL_FIELDS
-    }
-    return QARecord(
-        id=rec_id,
-        task=task,
-        question_type=question_type,
-        question=question,
-        answer=answer,
-        video_id=video_id,
-        rephrase_of=rephrase_of,
-        extras=extras,
-    )
+    return QARecord(rec_id, task, question_type, question, answer, video_id, rephrase_of, raw)
 
 
 def _iter_json_lines(path: str | Path):
-    """Yield (line_no, parsed_object) for each non-blank line of a file."""
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(raw, dict):
-            raise DatasetError(f"line {line_no}: record must be a JSON object")
-        yield line_no, raw
+    """Yield (line_no, parsed_object) for each non-blank line of a file.
+
+    The file is read a line at a time, and lines end at "\n" only. Each
+    line is decoded as UTF-8 on its own, so a bad byte names its line. A
+    line that is not exactly one JSON value before its "\n" (surrounding
+    whitespace, a "\r", a BOM, trailing data, bad JSON) is handed to
+    json.loads, which accepts or rejects it as it always does.
+    """
+    with open(path, "rb") as lines:
+        for line_no, data in enumerate(lines, start=1):
+            try:
+                line = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"line {line_no}: invalid UTF-8 ({exc.reason})") from exc
+            try:
+                raw, end = _raw_decode(line)
+                rest = line[end:]
+            except json.JSONDecodeError:
+                rest = None
+            if rest not in ("\n", ""):
+                line = line.removesuffix("\n")
+                if not line.strip():
+                    continue
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+            if type(raw) is not dict:
+                raise DatasetError(f"line {line_no}: record must be a JSON object")
+            yield line_no, raw
 
 
 def parse_dataset(path: str | Path) -> DatasetManifest:
@@ -173,11 +197,9 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
     seen: dict[str, int] = {}
     for line_no, raw in _iter_json_lines(path):
         rec = _parse_record_line(raw, line_no)
-        if rec.id in seen:
-            raise DatasetError(
-                f"duplicate id {rec.id!r} on lines {seen[rec.id]} and {line_no}"
-            )
-        seen[rec.id] = line_no
+        first = seen.setdefault(rec.id, line_no)
+        if first != line_no:
+            raise DatasetError(f"duplicate id {rec.id!r} on lines {first} and {line_no}")
         records.append(rec)
 
     for rec in records:
@@ -189,23 +211,26 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
     return DatasetManifest.from_records(records)
 
 
-def parse_predictions(path: str | Path) -> list[PredictionRecord]:
-    """Parse a line-delimited prediction file.
+def parse_predictions(path: str | Path) -> dict[str, str]:
+    """Parse a line-delimited prediction file into {id: prediction}.
 
-    One record per non-empty line; duplicate ids within one file are an
-    error, as is a line without a 'prediction' field.
+    One record per non-empty line, kept in file order; duplicate ids
+    within one file are an error, as is a line without a 'prediction'
+    field.
     """
-    preds: list[PredictionRecord] = []
+    preds: dict[str, str] = {}
     seen: dict[str, int] = {}
     for line_no, raw in _iter_json_lines(path):
-        rec_id = _require_str(raw, "id", line_no)
-        prediction = _require_str(raw, "prediction", line_no)
-        if rec_id in seen:
-            raise DatasetError(
-                f"duplicate id {rec_id!r} on lines {seen[rec_id]} and {line_no}"
-            )
-        seen[rec_id] = line_no
-        preds.append(PredictionRecord(id=rec_id, prediction=prediction))
+        rec_id = raw.get("id", _MISSING)
+        if type(rec_id) is not str:
+            raise _field_error(line_no, "id", rec_id)
+        prediction = raw.get("prediction", _MISSING)
+        if type(prediction) is not str:
+            raise _field_error(line_no, "prediction", prediction)
+        first = seen.setdefault(rec_id, line_no)
+        if first != line_no:
+            raise DatasetError(f"duplicate id {rec_id!r} on lines {first} and {line_no}")
+        preds[rec_id] = prediction
     return preds
 
 
@@ -221,14 +246,11 @@ class ValidationReport:
         return not self.missing_predictions and not self.orphan_predictions
 
 
-def validate_pair(
-    manifest: DatasetManifest, preds: list[PredictionRecord]
-) -> ValidationReport:
+def validate_pair(manifest: DatasetManifest, preds: dict[str, str]) -> ValidationReport:
     """Report gold ids with no prediction and prediction ids with no gold record."""
     gold_ids = {rec.id for rec in manifest.records}
-    pred_ids = {p.id for p in preds}
-    missing = [rec.id for rec in manifest.records if rec.id not in pred_ids]
-    orphans = [p.id for p in preds if p.id not in gold_ids]
+    missing = [rec.id for rec in manifest.records if rec.id not in preds]
+    orphans = [pid for pid in preds if pid not in gold_ids]
     return ValidationReport(missing_predictions=missing, orphan_predictions=orphans)
 
 

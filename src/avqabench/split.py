@@ -162,7 +162,7 @@ def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAss
         solutions.append(sol)
         head_sets[key] = set(sol.head_answers)
     labels = {
-        rec.id: "head" if rec.answer in head_sets[rec.group] else "tail"
+        rec.id: "head" if rec.answer in head_sets[rec.task, rec.question_type] else "tail"
         for rec in manifest.records
     }
     return SplitAssignment(labels=labels, solutions=solutions)
@@ -193,9 +193,14 @@ def distribution_report(
     reference (e.g. a training split), the head records, and the tail
     records, plus total-variation distances TV(reference, head) and
     TV(reference, tail). Groups missing from the reference are flagged
-    rather than fatal; an empty tail yields a null TV. A record of a split
-    group with no split label is an error.
+    rather than fatal; an empty tail yields a null TV. A manifest group
+    with no split solution, or a record of a split group with no split
+    label, is an error.
     """
+    solved = {sol.key for sol in assignment.solutions}
+    for key in manifest.groups:
+        if key not in solved:
+            raise ValueError(f"group ({key.task}, {key.question_type}) has no split solution")
     groups = []
     for sol in assignment.solutions:
         key = sol.key

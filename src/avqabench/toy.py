@@ -222,14 +222,14 @@ def _backward_batch(params, feats, hidden, grads):
 
 
 def train(
-    spec: SyntheticSpec, tcfg: TrainConfig
+    spec: SyntheticSpec, tcfg: TrainConfig, train_set: ToyDataset
 ) -> tuple[ToyModelParams, list[LossBreakdown]]:
     """Mini-batch SGD on the joint objective; returns the per-epoch trace.
 
-    Deterministic given (spec.seed, tcfg.seed). Raises RuntimeError naming
-    the epoch if the loss stops being finite.
+    `train_set` is the first set generate_synthetic(spec) returns; `spec`
+    also sizes the model. Deterministic given (spec.seed, tcfg.seed).
+    Raises RuntimeError naming the epoch if the loss stops being finite.
     """
-    train_set, _, _ = generate_synthetic(spec)
     params = init_params(spec, tcfg)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 3]))
     n = len(train_set)
@@ -278,8 +278,8 @@ def evaluate_toy(
 
 def run_experiment(spec: SyntheticSpec, tcfg: TrainConfig) -> dict:
     """One training run plus its head/tail evaluation."""
-    params, trace = train(spec, tcfg)
-    _, head_test, tail_test = generate_synthetic(spec)
+    train_set, head_test, tail_test = generate_synthetic(spec)
+    params, trace = train(spec, tcfg, train_set)
     return {
         "seed": tcfg.seed,
         "alpha": tcfg.debias.alpha,

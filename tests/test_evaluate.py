@@ -1,7 +1,7 @@
 """Accuracy reporting, matching, sampling, and agreement statistics."""
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from avqabench.evaluate import (
     agreement_stats,
@@ -10,8 +10,20 @@ from avqabench.evaluate import (
     normalize_answer,
     uniform_sample,
 )
-from avqabench.records import DatasetManifest, PredictionRecord, QARecord
+from avqabench.records import DatasetManifest, QARecord
 from avqabench.split import SplitAssignment, SplitConfig, build_assignment
+
+ANSWERS = ["two", "yes", "acoustic guitar", "Left", "cello."]
+VARIANTS = [
+    lambda a: a,
+    str.upper,
+    str.title,
+    lambda a: f"  {a}\t",
+    lambda a: a + ".",
+    lambda a: a + "?!",
+    lambda a: a.replace(" ", "   "),
+    lambda a: "\n" + a + " ,",
+]
 
 
 def make_manifest(rows):
@@ -60,12 +72,7 @@ def fixture_manifest_and_preds():
     assignment = SplitAssignment(
         labels={"a1": "head", "a2": "head", "a3": "tail", "a4": "tail"}
     )
-    preds = [
-        PredictionRecord("a1", "two"),
-        PredictionRecord("a2", "Two"),
-        PredictionRecord("a3", "three"),
-        PredictionRecord("a4", "two"),
-    ]
+    preds = {"a1": "two", "a2": "Two", "a3": "three", "a4": "two"}
     return manifest, assignment, preds
 
 
@@ -87,12 +94,13 @@ class TestAccuracyReport:
 
     def test_missing_prediction_is_an_error(self):
         manifest, assignment, preds = fixture_manifest_and_preds()
+        del preds["a4"]
         with pytest.raises(ValueError, match="a4"):
-            accuracy_report(manifest, assignment, preds[:-1])
+            accuracy_report(manifest, assignment, preds)
 
     def test_orphan_prediction_is_an_error(self):
         manifest, assignment, preds = fixture_manifest_and_preds()
-        preds = preds + [PredictionRecord("zz", "two")]
+        preds["zz"] = "two"
         with pytest.raises(ValueError, match="zz"):
             accuracy_report(manifest, assignment, preds)
 
@@ -111,7 +119,7 @@ class TestAccuracyReport:
     def test_empty_tail_cell_absent(self):
         manifest = make_manifest([("x1", "avqa", "Existential", "yes")])
         assignment = build_assignment(manifest, SplitConfig(mode="conformal"))
-        report = accuracy_report(manifest, assignment, [PredictionRecord("x1", "yes")])
+        report = accuracy_report(manifest, assignment, {"x1": "yes"})
         assert ("avqa", "Existential", "tail") not in report.cells
         assert report.pooled("tail") is None
         assert report.to_dict()["pooled"]["tail"] is None
@@ -125,11 +133,7 @@ class TestAccuracyReport:
             ]
         )
         assignment = build_assignment(manifest, SplitConfig(mode="conformal"))
-        preds = [
-            PredictionRecord("v1", "left"),
-            PredictionRecord("a1", "no"),
-            PredictionRecord("m1", "begin"),
-        ]
+        preds = {"v1": "left", "a1": "no", "m1": "begin"}
         report = accuracy_report(manifest, assignment, preds)
         assert list(report.cells) == sorted(report.cells)
 
@@ -138,6 +142,81 @@ class TestAccuracyReport:
         table = accuracy_report(manifest, assignment, preds).render_table()
         assert "audio H" in table and "audio T" in table
         assert "pooled:" in table
+
+
+def reference_cells(manifest, assignment, preds):
+    """Per-cell (count, correct), one match_answer call per record."""
+    cells = {}
+    for rec in manifest.records:
+        key = (rec.task, rec.question_type, assignment.labels[rec.id])
+        count, correct = cells.get(key, (0, 0))
+        cells[key] = (count + 1, correct + match_answer(preds[rec.id], rec.answer))
+    return cells
+
+
+@st.composite
+def scored_pipelines(draw):
+    """A manifest, its split, and predictions with surface variants."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = []
+    preds = {}
+    for i in range(n):
+        task = draw(st.sampled_from(["audio", "visual", "avqa"]))
+        qtype = draw(st.sampled_from(["Counting", "Location"]))
+        answer = draw(st.sampled_from(ANSWERS))
+        rows.append((f"q{i}", task, qtype, answer))
+        guess = draw(st.sampled_from(ANSWERS + ["", "two. .", "other"]))
+        preds[f"q{i}"] = draw(st.sampled_from(VARIANTS))(guess)
+    manifest = make_manifest(rows)
+    mode = draw(st.sampled_from(["conformal", "legacy"]))
+    order = draw(st.permutations(list(preds)))
+    return manifest, build_assignment(manifest, SplitConfig(mode=mode)), {i: preds[i] for i in order}
+
+
+@settings(max_examples=150)
+@given(scored_pipelines())
+def test_accuracy_cells_match_a_per_record_reference(pipeline):
+    manifest, assignment, preds = pipeline
+    report = accuracy_report(manifest, assignment, preds)
+    assert list(report.cells) == sorted(report.cells)
+    assert {key: (s.count, s.correct) for key, s in report.cells.items()} == reference_cells(
+        manifest, assignment, preds
+    )
+
+
+@given(scored_pipelines(), st.data())
+def test_unpaired_ids_raise_the_listed_mismatch(pipeline, data):
+    manifest, assignment, preds = pipeline
+    ids = list(preds)
+    dropped = data.draw(st.lists(st.sampled_from(ids), unique=True))
+    orphans = data.draw(st.lists(st.sampled_from(["zz1", "zz2", "q999"]), unique=True))
+    assume(dropped or orphans)
+    for rid in dropped:
+        del preds[rid]
+    for rid in orphans:
+        preds[rid] = "two"
+    missing = [rec.id for rec in manifest.records if rec.id in dropped]
+    message = (
+        "gold/prediction mismatch: missing predictions for "
+        f"{missing!r}, orphan predictions {orphans!r}"
+    )
+    with pytest.raises(ValueError) as info:
+        accuracy_report(manifest, assignment, preds)
+    assert str(info.value) == message
+
+
+def test_split_label_mismatches_raise_the_listed_ids():
+    manifest, assignment, preds = fixture_manifest_and_preds()
+    assignment.labels["ghost"] = "tail"
+    assignment.labels["ghost2"] = "head"
+    with pytest.raises(ValueError) as info:
+        accuracy_report(manifest, assignment, preds)
+    assert str(info.value) == "split assignment labels ids not in the dataset: ['ghost', 'ghost2']"
+    # same label count as records, one of them for an unknown id
+    del assignment.labels["a3"], assignment.labels["ghost2"]
+    with pytest.raises(ValueError) as info:
+        accuracy_report(manifest, assignment, preds)
+    assert str(info.value) == "records missing from split assignment: ['a3']"
 
 
 def equal_strata_manifest(cells=10, per_cell=100):

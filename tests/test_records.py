@@ -10,6 +10,7 @@ from avqabench.records import (
     DatasetManifest,
     GroupKey,
     QARecord,
+    _iter_json_lines,
     parse_dataset,
     parse_predictions,
     validate_pair,
@@ -115,11 +116,179 @@ def test_parse_is_deterministic(write_jsonl):
     assert parse_dataset(path) == parse_dataset(path)
 
 
+def test_group_key_is_an_ordered_named_pair():
+    key = GroupKey("audio", "Counting")
+    assert (key.task, key.question_type) == ("audio", "Counting")
+    assert repr(key) == "GroupKey(task='audio', question_type='Counting')"
+    assert sorted([GroupKey("visual", "A"), GroupKey("audio", "Z"), GroupKey("audio", "B")]) == [
+        GroupKey("audio", "B"),
+        GroupKey("audio", "Z"),
+        GroupKey("visual", "A"),
+    ]
+    # a plain (task, question_type) pair finds the key in a dict
+    assert {key: 1}[("audio", "Counting")] == 1
+
+
+# Characters that str.splitlines treats as line breaks but JSONL does not.
+UNICODE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("char", UNICODE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_non_newline_line_breaks_round_trip(char, tmp_path):
+    records = [
+        QARecord(
+            id="q1",
+            task="avqa",
+            question_type="Counting",
+            question=f"How many{char}instruments?",
+            answer="two",
+            extras={"note": f"take{char}2"},
+        ),
+        QARecord(id="q2", task="audio", question_type="Counting", question="?", answer="one"),
+    ]
+    manifest = DatasetManifest.from_records(records)
+    path = tmp_path / "data.jsonl"
+    write_dataset(manifest, path)
+    # json.dumps escapes the C0 controls; U+0085, U+2028 and U+2029 are written raw
+    text = path.read_text(encoding="utf-8")
+    assert (char in text) == (ord(char) >= 0x80)
+    assert text.count("\n") == 2
+    parsed = parse_dataset(path)
+    assert parsed == manifest
+    assert parsed.records[0].question == f"How many{char}instruments?"
+
+
+# (line, expected): the decoded object, None for a skipped blank line, or
+# the exact DatasetError text json.loads leads to.
+ODD_LINES = [
+    ('{"id": "q1"}', {"id": "q1"}),
+    ('  {"id": "q1"}', {"id": "q1"}),
+    ('{"id": "q1"}\t ', {"id": "q1"}),
+    ('{"id": "q1"}\r', {"id": "q1"}),
+    ('\r', None),
+    ("   \t ", None),
+    ("", None),
+    ("\u3000", None),
+    ("\ufeff{}", "line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    ('{"id": "q1"} {"id": "q2"}', "line 1: invalid JSON (Extra data)"),
+    ('{"id": "q1"}x', "line 1: invalid JSON (Extra data)"),
+    ('{"x": NaN, "y": -Infinity}', {"x": float("nan"), "y": float("-inf")}),
+    ("NaN", "line 1: record must be a JSON object"),
+    ("[1, 2]", "line 1: record must be a JSON object"),
+    ('"text"', "line 1: record must be a JSON object"),
+    ("{}", {}),
+    ("{", "line 1: invalid JSON (Expecting property name enclosed in double quotes)"),
+    ('{"a": "b', "line 1: invalid JSON (Unterminated string starting at)"),
+    ('{"a": 1,}', "line 1: invalid JSON (Expecting property name enclosed in double quotes)"),
+    ('{"a": "x\u2028y"}', {"a": "x\u2028y"}),
+    ('{"a": 1, "a": 2}', {"a": 2}),
+]
+
+
+@pytest.mark.parametrize("ending", ["\n", ""], ids=["newline", "end-of-file"])
+@pytest.mark.parametrize("line, expected", ODD_LINES, ids=repr)
+def test_odd_lines_decode_as_json_loads(line, expected, ending, tmp_path):
+    path = tmp_path / "odd.jsonl"
+    path.write_bytes((line + ending).encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(DatasetError) as info:
+            list(_iter_json_lines(path))
+        assert str(info.value) == expected
+        return
+    got = list(_iter_json_lines(path))
+    if expected is None:
+        assert got == []
+        return
+    assert [line_no for line_no, _ in got] == [1]
+    # compared as JSON text, so NaN equals NaN
+    assert json.dumps(got[0][1]) == json.dumps(expected) == json.dumps(json.loads(line))
+
+
+def test_crlf_and_blank_lines_keep_line_numbers(tmp_path):
+    path = tmp_path / "crlf.jsonl"
+    path.write_bytes(b'{"a": 1}\r\n\r\n  \r\n{"a": 2}\r\n[3]\r\n')
+    lines = _iter_json_lines(path)
+    assert next(lines) == (1, {"a": 1})
+    assert next(lines) == (4, {"a": 2})
+    with pytest.raises(DatasetError, match=r"^line 5: record must be a JSON object$"):
+        next(lines)
+
+
+def test_invalid_utf8_names_its_line(tmp_path):
+    path = tmp_path / "bytes.jsonl"
+    good = "".join(json.dumps({"id": f"q{i}", "prediction": "é"}) + "\n" for i in range(3000))
+    path.write_bytes(good.encode("utf-8") + b'{"id": "q\xff", "prediction": "a"}\n')
+    with pytest.raises(DatasetError) as info:
+        parse_predictions(path)
+    assert str(info.value) == "line 3001: invalid UTF-8 (invalid start byte)"
+
+
+REQUIRED = ["id", "task", "question_type", "question", "answer"]
+
+
+@pytest.mark.parametrize("field", REQUIRED)
+@pytest.mark.parametrize("value", ["<missing>", None, 7, ["a"], {"a": "b"}, True])
+def test_bad_required_field_names_line_and_field(field, value, write_jsonl):
+    row = qa_row(2)
+    if value == "<missing>":
+        del row[field]
+        message = f"line 2: missing field '{field}'"
+    else:
+        row[field] = value
+        message = f"line 2: field '{field}' must be a string"
+    path = write_jsonl([qa_row(1), row])
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", ["video_id", "rephrase_of"])
+@pytest.mark.parametrize("value", [7, ["a"], False])
+def test_bad_optional_field_names_line_and_field(field, value, write_jsonl):
+    path = write_jsonl([qa_row(1), qa_row(2, **{field: value})])
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(path)
+    assert str(info.value) == f"line 2: field '{field}' must be a string"
+
+
+def test_null_optional_fields_are_absent(write_jsonl):
+    manifest = parse_dataset(write_jsonl([qa_row(1, video_id=None, rephrase_of=None)]))
+    assert manifest.records[0].video_id is None
+    assert manifest.records[0].rephrase_of is None
+    assert manifest.records[0].extras == {}
+
+
+def test_first_problem_on_a_line_is_reported(write_jsonl):
+    # an empty id is checked before the missing task
+    row = qa_row(1, id="")
+    del row["task"]
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(write_jsonl([row]))
+    assert str(info.value) == "line 1: field 'id' must be non-empty"
+
+
+@pytest.mark.parametrize("field", ["id", "prediction"])
+@pytest.mark.parametrize("value", ["<missing>", None, 3, ["x"]])
+def test_bad_prediction_field_names_line_and_field(field, value, tmp_path):
+    row = {"id": "q2", "prediction": "yes"}
+    if value == "<missing>":
+        del row[field]
+        message = f"line 2: missing field '{field}'"
+    else:
+        row[field] = value
+        message = f"line 2: field '{field}' must be a string"
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"id": "q1", "prediction": "no"}\n' + json.dumps(row) + "\n")
+    with pytest.raises(DatasetError) as info:
+        parse_predictions(path)
+    assert str(info.value) == message
+
+
 def test_predictions_basic(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text('{"id": "q1", "prediction": "yes"}\n{"id": "q2", "prediction": "no"}\n')
     preds = parse_predictions(path)
-    assert [(p.id, p.prediction) for p in preds] == [("q1", "yes"), ("q2", "no")]
+    assert list(preds.items()) == [("q1", "yes"), ("q2", "no")]
 
 
 def test_predictions_missing_field(tmp_path):
@@ -136,10 +305,21 @@ def test_predictions_duplicate_id(tmp_path):
         parse_predictions(path)
 
 
+def test_predictions_duplicate_id_names_both_lines(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(
+        '{"id": "q1", "prediction": "a"}\n\n{"id": "q2", "prediction": "b"}\n'
+        '{"id": "q1", "prediction": "a"}\n'
+    )
+    with pytest.raises(DatasetError) as info:
+        parse_predictions(path)
+    assert str(info.value) == "duplicate id 'q1' on lines 1 and 4"
+
+
 def test_predictions_empty_file(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text("")
-    assert parse_predictions(path) == []
+    assert parse_predictions(path) == {}
 
 
 def test_validate_pair_exact_match(write_jsonl, tmp_path):

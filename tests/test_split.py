@@ -261,6 +261,19 @@ class TestDistributionReport:
         with pytest.raises(ValueError, match="record 'q5' missing from split assignment"):
             distribution_report(manifest, assignment, manifest)
 
+    def test_group_without_a_solution_is_an_error(self):
+        # 10 records in 2 groups; the split only knows the first group's 6
+        first = _manifest_from_counts({"x": 4, "y": 2}).records
+        second = [
+            QARecord(id=f"v{i}", task="visual", question_type="Location", question="?", answer="l")
+            for i in range(4)
+        ]
+        manifest = DatasetManifest.from_records(first + second)
+        assert len(manifest) == 10 and len(manifest.groups) == 2
+        assignment = build_assignment(DatasetManifest.from_records(first), SplitConfig())
+        with pytest.raises(ValueError, match=r"group \(visual, Location\) has no split solution"):
+            distribution_report(manifest, assignment, manifest)
+
     def test_total_variation_basics(self):
         assert total_variation({"a": 1.0}, {"a": 1.0}) == 0.0
         assert total_variation({"a": 1.0}, {"b": 1.0}) == 1.0

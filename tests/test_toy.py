@@ -1,16 +1,21 @@
 """Stacked toy model: backward pass, determinism, divergence, parameter blocks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from avqabench import toy
 from avqabench.debias import DebiasConfig, batch_loss_and_grad
 from avqabench.toy import (
     SyntheticSpec,
     TrainConfig,
     _backward_batch,
     _forward_batch,
+    evaluate_toy,
     generate_synthetic,
     init_params,
+    run_paired_experiment,
     train,
 )
 
@@ -55,8 +60,9 @@ def test_backward_matches_central_differences_for_every_block():
 
 
 def test_same_spec_and_config_give_identical_runs():
-    params_a, trace_a = train(SPEC, CFG)
-    params_b, trace_b = train(SPEC, CFG)
+    train_set, _, _ = generate_synthetic(SPEC)
+    params_a, trace_a = train(SPEC, CFG, train_set)
+    params_b, trace_b = train(SPEC, CFG, train_set)
     assert trace_a == trace_b
     for name in params_a:
         np.testing.assert_array_equal(params_a[name], params_b[name])
@@ -66,7 +72,7 @@ def test_divergence_names_the_epoch():
     # lr 1e6 drives the logits past float64 range within a few epochs
     cfg = TrainConfig(epochs=10, batch_size=16, hidden_dim=5, learning_rate=1e6)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="diverged at epoch"):
-        train(SPEC, cfg)
+        train(SPEC, cfg, generate_synthetic(SPEC)[0])
 
 
 def test_parameter_count_counts_the_shared_head_once():
@@ -79,3 +85,30 @@ def test_parameter_count_counts_the_shared_head_once():
     copy = params.copy()
     copy["head_weight"] += 1.0
     assert not np.array_equal(copy["head_weight"], params["head_weight"])
+
+
+def test_paired_experiment_generates_each_dataset_once(monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec.seed)
+        return generate_synthetic(spec)
+
+    monkeypatch.setattr(toy, "generate_synthetic", counting)
+    result = run_paired_experiment(SPEC, CFG, [0, 1])
+    # 2 seeds x 2 arms, one generation per run
+    assert calls == [0, 0, 1, 1]
+
+    # each run equals one trained on a separately generated train set and
+    # scored on separately generated test sets
+    monkeypatch.undo()
+    for run in result["runs"]:
+        spec = replace(SPEC, seed=run["seed"])
+        debias = CFG.debias if run["arm"] == "debias" else DebiasConfig(alpha=0.0, beta=0.0)
+        cfg = replace(CFG, seed=run["seed"], debias=debias)
+        params, trace = train(spec, cfg, generate_synthetic(spec)[0])
+        _, head_test, tail_test = generate_synthetic(spec)
+        assert {k: run[k] for k in ("head_acc", "tail_acc", "overall_acc")} == evaluate_toy(
+            params, head_test, tail_test
+        )
+        assert run["final_loss"] == trace[-1].to_dict()

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .records import DatasetManifest, validate_pair
+from .records import DatasetManifest, group_records, validate_pair
 from .split import SplitAssignment
 
 _TERMINAL_PUNCT = ".,!?;:"
@@ -232,12 +232,22 @@ def uniform_sample(
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    labels = assignment.labels
     cells: dict[tuple[str, str, str], list[str]] = {}
-    for rec in manifest.records:
-        part = assignment.labels.get(rec.id)
-        if part is None:
-            raise ValueError(f"record {rec.id!r} missing from split assignment")
-        cells.setdefault((rec.task, rec.question_type, part), []).append(rec.id)
+    for (task, qtype), group in manifest.groups.items():
+        parts: dict[str, list[str]] = {}
+        for rec in group:
+            part = labels.get(rec.id)
+            ids = parts.get(part)
+            if ids is None:
+                if part is None:
+                    # name the first unlabelled record in file order
+                    unlabelled = next(r.id for r in manifest.records if labels.get(r.id) is None)
+                    raise ValueError(f"record {unlabelled!r} missing from split assignment")
+                parts[part] = ids = []
+            ids.append(rec.id)
+        for part, ids in parts.items():
+            cells[task, qtype, part] = ids
 
     total = len(manifest.records)
     house = int(ratio * total + 0.5)
@@ -253,12 +263,11 @@ def uniform_sample(
     rng = random.Random(seed)
     chosen: set[str] = set()
     for key in keys:
-        members = list(cells[key])
+        members = cells[key]
         rng.shuffle(members)
         chosen.update(members[: targets[key]])
-    return DatasetManifest.from_records(
-        [rec for rec in manifest.records if rec.id in chosen]
-    )
+    records = [rec for rec in manifest.records if rec.id in chosen]
+    return DatasetManifest(records, group_records(records))
 
 
 @dataclass

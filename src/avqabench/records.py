@@ -16,11 +16,18 @@ round-trip but otherwise ignored. Records are grouped by (task,
 question_type): each group holds the record objects themselves, the same
 objects as the record list and in file order, so grouping is rebuilt
 identically from the same records.
+
+Labels come from small closed sets and repeat across many records, so a
+parse keeps one string object per distinct value: the records of a dataset
+share their task, question_type, answer and video_id strings and the keys
+of their extras (via sys.intern), and a prediction file's equal
+predictions share one string. Each record's extras dict is its own.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -76,6 +83,18 @@ class QARecord:
         return out
 
 
+def group_records(records: list[QARecord]) -> dict[GroupKey, list[QARecord]]:
+    """Records by (task, question_type), groups and members in first-seen order."""
+    groups: dict[GroupKey, list[QARecord]] = {}
+    for rec in records:
+        key = (rec.task, rec.question_type)
+        group = groups.get(key)
+        if group is None:
+            groups[GroupKey(*key)] = group = []
+        group.append(rec)
+    return groups
+
+
 @dataclass
 class DatasetManifest:
     """Ordered records plus the derived (task, question_type) grouping."""
@@ -86,18 +105,12 @@ class DatasetManifest:
     @classmethod
     def from_records(cls, records: list[QARecord]) -> "DatasetManifest":
         """Group the records; raises DatasetError naming a repeated id."""
-        groups: dict[GroupKey, list[QARecord]] = {}
         ids: set[str] = set()
         for rec in records:
             if rec.id in ids:
                 raise DatasetError(f"duplicate id {rec.id!r}")
             ids.add(rec.id)
-            key = (rec.task, rec.question_type)
-            group = groups.get(key)
-            if group is None:
-                groups[GroupKey(*key)] = group = []
-            group.append(rec)
-        return cls(records=list(records), groups=groups)
+        return cls(records=list(records), groups=group_records(records))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -115,6 +128,8 @@ def _parse_record_line(raw: dict, line_no: int) -> QARecord:
 
     Each known field is popped and checked in turn, so the first problem
     on the line is the one reported; the fields left over are the extras.
+    Labels are interned once checked. The extras are copied to a fresh
+    dict, because a dict keeps its size when keys are popped.
     """
     rec_id = raw.pop("id", _MISSING)
     if type(rec_id) is not str:
@@ -150,7 +165,19 @@ def _parse_record_line(raw: dict, line_no: int) -> QARecord:
     rephrase_of = raw.pop("rephrase_of", None)
     if rephrase_of is not None and type(rephrase_of) is not str:
         raise DatasetError(f"line {line_no}: field 'rephrase_of' must be a string")
-    return QARecord(rec_id, task, question_type, question, answer, video_id, rephrase_of, raw)
+    if video_id is not None:
+        video_id = sys.intern(video_id)
+    extras = {sys.intern(key): value for key, value in raw.items()}
+    return QARecord(
+        rec_id,
+        sys.intern(task),
+        sys.intern(question_type),
+        question,
+        sys.intern(answer),
+        video_id,
+        rephrase_of,
+        extras,
+    )
 
 
 def _iter_json_lines(path: str | Path):
@@ -208,7 +235,7 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
                 f"line {seen[rec.id]}: rephrase_of {rec.rephrase_of!r} "
                 "does not reference an id in this dataset"
             )
-    return DatasetManifest.from_records(records)
+    return DatasetManifest(records, group_records(records))
 
 
 def parse_predictions(path: str | Path) -> dict[str, str]:
@@ -216,10 +243,9 @@ def parse_predictions(path: str | Path) -> dict[str, str]:
 
     One record per non-empty line, kept in file order; duplicate ids
     within one file are an error, as is a line without a 'prediction'
-    field.
+    field. Equal predictions share one interned string.
     """
     preds: dict[str, str] = {}
-    seen: dict[str, int] = {}
     for line_no, raw in _iter_json_lines(path):
         rec_id = raw.get("id", _MISSING)
         if type(rec_id) is not str:
@@ -227,10 +253,10 @@ def parse_predictions(path: str | Path) -> dict[str, str]:
         prediction = raw.get("prediction", _MISSING)
         if type(prediction) is not str:
             raise _field_error(line_no, "prediction", prediction)
-        first = seen.setdefault(rec_id, line_no)
-        if first != line_no:
+        if rec_id in preds:
+            first = next(n for n, earlier in _iter_json_lines(path) if earlier.get("id") == rec_id)
             raise DatasetError(f"duplicate id {rec_id!r} on lines {first} and {line_no}")
-        preds[rec_id] = prediction
+        preds[rec_id] = sys.intern(prediction)
     return preds
 
 
@@ -255,6 +281,7 @@ def validate_pair(manifest: DatasetManifest, preds: dict[str, str]) -> Validatio
 
 
 def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:
-    """Serialize a manifest back to the line-delimited format."""
-    lines = [json.dumps(rec.to_dict(), ensure_ascii=False) for rec in manifest.records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """Serialize a manifest back to the line-delimited format, a line at a time."""
+    with open(path, "w", encoding="utf-8") as out:
+        for rec in manifest.records:
+            out.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")

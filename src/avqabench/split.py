@@ -73,9 +73,10 @@ class SplitAssignment:
     solutions: list[SplitSolution] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """The split file's document; its 'assignments' is self.labels, not a copy."""
         return {
             "groups": [sol.to_dict() for sol in self.solutions],
-            "assignments": dict(self.labels),
+            "assignments": self.labels,
         }
 
 
@@ -243,36 +244,52 @@ def distribution_report(
 
 
 def write_split(assignment: SplitAssignment, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(assignment.to_dict(), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    """Write the split as indented JSON, streamed to the file chunk by chunk."""
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(assignment.to_dict(), out, indent=2, ensure_ascii=False)
+        out.write("\n")
 
 
 def load_split(path: str | Path) -> SplitAssignment:
-    """Read a split file written by write_split."""
+    """Read a split file written by write_split.
+
+    A file that is not a JSON object holding a 'groups' array of complete
+    group objects and an 'assignments' object of 'head'/'tail' labels is
+    rejected with a ValueError naming the key.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    for g in doc["groups"]:
-        if g["mode"] not in MODES:
-            raise ValueError(
-                f"group ({g['task']}, {g['question_type']}): unknown split mode "
-                f"{g['mode']!r}; expected one of {MODES}"
+    if not isinstance(doc, dict):
+        raise ValueError("split file must be a JSON object")
+    for key, kind, name in (("groups", list, "array"), ("assignments", dict, "object")):
+        if key not in doc:
+            raise ValueError(f"split file: missing key {key!r}")
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"split file: key {key!r} must be a JSON {name}")
+    solutions = []
+    for i, g in enumerate(doc["groups"]):
+        if not isinstance(g, dict):
+            raise ValueError(f"split file: groups[{i}] must be a JSON object")
+        try:
+            sol = SplitSolution(
+                key=GroupKey(g["task"], g["question_type"]),
+                mode=g["mode"],
+                k=g["k"],
+                head_size=g["head_size"],
+                head_answers=tuple(g["head_answers"]),
+                tail_answers=tuple(g["tail_answers"]),
+                coverage=g["coverage"],
+                normalized_entropy=g["normalized_entropy"],
+                balanced=g["balanced"],
             )
-    solutions = [
-        SplitSolution(
-            key=GroupKey(g["task"], g["question_type"]),
-            mode=g["mode"],
-            k=g["k"],
-            head_size=g["head_size"],
-            head_answers=tuple(g["head_answers"]),
-            tail_answers=tuple(g["tail_answers"]),
-            coverage=g["coverage"],
-            normalized_entropy=g["normalized_entropy"],
-            balanced=g["balanced"],
-        )
-        for g in doc["groups"]
-    ]
-    labels = dict(doc["assignments"])
+        except KeyError as exc:
+            raise ValueError(f"split file: groups[{i}] is missing key {exc.args[0]!r}") from None
+        if sol.mode not in MODES:
+            raise ValueError(
+                f"group ({sol.key.task}, {sol.key.question_type}): unknown split mode "
+                f"{sol.mode!r}; expected one of {MODES}"
+            )
+        solutions.append(sol)
+    labels = doc["assignments"]
     for rid, label in labels.items():
         if label not in ("head", "tail"):
             raise ValueError(f"assignment for {rid!r} must be 'head' or 'tail'")

@@ -1,5 +1,7 @@
 """Accuracy reporting, matching, sampling, and agreement statistics."""
 
+import random
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -10,7 +12,7 @@ from avqabench.evaluate import (
     normalize_answer,
     uniform_sample,
 )
-from avqabench.records import DatasetManifest, QARecord
+from avqabench.records import DatasetManifest, GroupKey, QARecord
 from avqabench.split import SplitAssignment, SplitConfig, build_assignment
 
 ANSWERS = ["two", "yes", "acoustic guitar", "Left", "cello."]
@@ -232,6 +234,26 @@ def equal_strata_manifest(cells=10, per_cell=100):
     return make_manifest(rows)
 
 
+def reference_sample_ids(manifest, assignment, ratio, seed):
+    """Ids uniform_sample keeps, from one (task, question_type, part) key per record."""
+    cells = {}
+    for rec in manifest.records:
+        key = (rec.task, rec.question_type, assignment.labels[rec.id])
+        cells.setdefault(key, []).append(rec.id)
+    keys = sorted(cells)
+    quotas = {key: ratio * len(cells[key]) for key in keys}
+    targets = {key: int(quotas[key]) for key in keys}
+    leftover = int(ratio * len(manifest) + 0.5) - sum(targets.values())
+    for key in sorted(keys, key=lambda key: (-(quotas[key] - targets[key]), key))[:leftover]:
+        targets[key] += 1
+    rng = random.Random(seed)
+    chosen = set()
+    for key in keys:
+        rng.shuffle(cells[key])
+        chosen.update(cells[key][: targets[key]])
+    return [rec.id for rec in manifest.records if rec.id in chosen]
+
+
 class TestUniformSample:
     def test_ratio_one_is_identity(self):
         manifest, assignment, _ = fixture_manifest_and_preds()
@@ -280,6 +302,27 @@ class TestUniformSample:
         for bad in (0.0, -0.3, 1.01):
             with pytest.raises(ValueError):
                 uniform_sample(manifest, assignment, bad, seed=0)
+
+    @given(scored_pipelines(), st.floats(min_value=0.01, max_value=1.0), st.integers(0, 999))
+    def test_sample_matches_a_per_record_reference(self, pipeline, ratio, seed):
+        manifest, assignment, _ = pipeline
+        sampled = uniform_sample(manifest, assignment, ratio, seed=seed)
+        assert [rec.id for rec in sampled.records] == reference_sample_ids(
+            manifest, assignment, ratio, seed
+        )
+        rebuilt = DatasetManifest.from_records(sampled.records)
+        assert list(sampled.groups.items()) == list(rebuilt.groups.items())
+        assert all(type(key) is GroupKey for key in sampled.groups)
+
+    def test_unlabelled_record_named_in_file_order(self):
+        manifest = make_manifest(
+            [("a1", "audio", "Counting", "two"), ("v1", "visual", "Location", "left"),
+             ("a2", "audio", "Counting", "two")]
+        )
+        assignment = SplitAssignment(labels={"a1": "head"})
+        with pytest.raises(ValueError) as info:
+            uniform_sample(manifest, assignment, 0.5, seed=0)
+        assert str(info.value) == "record 'v1' missing from split assignment"
 
     @given(ratio=st.floats(min_value=0.01, max_value=1.0), seed=st.integers(0, 999))
     def test_allocation_within_one_of_quota(self, ratio, seed):

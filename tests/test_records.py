@@ -1,6 +1,9 @@
 """Parsing, validation, and round-trip behaviour of the record layer."""
 
+import gc
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -109,6 +112,64 @@ def test_extra_fields_preserved_on_round_trip(write_jsonl, tmp_path):
     out = tmp_path / "out.jsonl"
     write_dataset(manifest, out)
     assert parse_dataset(out) == manifest
+
+
+def test_labels_share_one_string_per_distinct_value(write_jsonl):
+    rows = [
+        qa_row(i, task="visual", qtype="Location", answer=["left", "right"][i % 2],
+               video_id=f"v{i // 3}", difficulty=i)
+        for i in range(6)
+    ]
+    manifest = parse_dataset(write_jsonl(rows))
+    by_value = {}
+    for rec in manifest.records:
+        for field in ("task", "question_type", "answer", "video_id"):
+            value = getattr(rec, field)
+            assert value is by_value.setdefault((field, value), value)
+        (key,) = rec.extras
+        assert key is by_value.setdefault(("extras", key), key)
+        # a fresh dict, not the decoded line's with its known fields popped
+        assert sys.getsizeof(rec.extras) == sys.getsizeof(dict(rec.extras.items()))
+    assert len(by_value) == 1 + 1 + 2 + 2 + 1
+
+
+def test_parse_groups_match_from_records(write_jsonl):
+    rows = [qa_row(i, task=["audio", "visual"][i % 2], qtype=["Counting", "Location"][i % 3 > 0])
+            for i in range(9)]
+    manifest = parse_dataset(write_jsonl(rows))
+    rebuilt = DatasetManifest.from_records(manifest.records)
+    assert list(manifest.groups.items()) == list(rebuilt.groups.items())
+    assert all(type(key) is GroupKey for key in manifest.groups)
+
+
+def _retained_bytes(build):
+    """Bytes still allocated once build() has returned, while its result is alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del kept
+    return retained
+
+
+def test_parsed_records_retain_less_than_decoded_lines(write_jsonl):
+    # labels from small closed sets, as in a real test split: many
+    # questions per video, a few dozen answers, one extra field
+    rows = [
+        qa_row(i, task=("audio", "visual", "avqa")[i % 3], qtype=f"type {i % 7}",
+               answer=f"answer {i % 31}", video_id=f"video{i // 8:05d}", difficulty=i % 5)
+        for i in range(2000)
+    ]
+    path = write_jsonl(rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    decoded = _retained_bytes(lambda: [json.loads(line) for line in lines])
+    parsed = _retained_bytes(lambda: parse_dataset(path))
+    # 0.43 when each label is one shared string, 0.78 with a copy per record (CPython 3.11)
+    assert parsed <= 0.6 * decoded, (parsed / len(rows), decoded / len(rows))
 
 
 def test_parse_is_deterministic(write_jsonl):
@@ -314,6 +375,24 @@ def test_predictions_duplicate_id_names_both_lines(tmp_path):
     with pytest.raises(DatasetError) as info:
         parse_predictions(path)
     assert str(info.value) == "duplicate id 'q1' on lines 1 and 4"
+
+
+def test_predictions_duplicate_id_after_blank_and_crlf_lines(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(
+        b'\r\n{"id": "q0", "prediction": "a"}\r\n\n  \r\n{"id": "q1", "prediction": "b"}\r\n'
+        b'\r\n{"id": "q2", "prediction": "c"}\n{"id": "q1", "prediction": "d"}\r\n'
+    )
+    with pytest.raises(DatasetError) as info:
+        parse_predictions(path)
+    assert str(info.value) == "duplicate id 'q1' on lines 5 and 8"
+
+
+def test_equal_predictions_share_one_string(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text("".join(json.dumps({"id": f"q{i}", "prediction": "cello"}) + "\n" for i in range(3)))
+    preds = parse_predictions(path)
+    assert preds["q0"] is preds["q1"] is preds["q2"]
 
 
 def test_predictions_empty_file(tmp_path):

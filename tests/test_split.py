@@ -204,6 +204,49 @@ class TestAssignment:
         write_split(build_assignment(manifest, SplitConfig()), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("answers", [{"x": 7, "y": 2, "z": 1}, {"ünï": 3, "コード": 2, "e\u2028f": 1}, {}])
+    def test_split_file_is_the_indented_json_text(self, answers, tmp_path):
+        manifest = _manifest_from_counts(answers, qtype="Zählen")
+        assignment = build_assignment(manifest, SplitConfig())
+        path = tmp_path / "split.json"
+        write_split(assignment, path)
+        expected = json.dumps(assignment.to_dict(), indent=2, ensure_ascii=False) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "split file must be a JSON object"),
+            ({"assignments": {}}, "split file: missing key 'groups'"),
+            ({"groups": []}, "split file: missing key 'assignments'"),
+            ({"groups": {}, "assignments": {}}, "split file: key 'groups' must be a JSON array"),
+            ({"groups": [], "assignments": []}, "split file: key 'assignments' must be a JSON object"),
+            (
+                {"groups": [], "assignments": [["q0", "head"]]},
+                "split file: key 'assignments' must be a JSON object",
+            ),
+            ({"groups": ["x"], "assignments": {}}, "split file: groups[0] must be a JSON object"),
+        ],
+    )
+    def test_malformed_split_file_names_the_key(self, doc, message, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_split(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("key", ["task", "mode", "k", "head_answers", "balanced"])
+    def test_group_without_a_key_names_it(self, key, tmp_path):
+        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
+        path = tmp_path / "split.json"
+        write_split(build_assignment(manifest, SplitConfig()), path)
+        doc = json.loads(path.read_text())
+        del doc["groups"][0][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_split(path)
+        assert str(info.value) == f"split file: groups[0] is missing key {key!r}"
+
     def test_unknown_mode_in_split_file_rejected(self, tmp_path):
         manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
         path = tmp_path / "split.json"

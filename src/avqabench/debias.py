@@ -18,6 +18,9 @@ gradients for a batch at once, from logits stacked as (4, n, C) in `PATHS`
 order: question, video, audio, fusion. Every KL is taken in nats in log
 space, as sum softmax(z_p) * (log_softmax(z_p) - log_softmax(z_q)), which is
 exact and finite for any finite logits, however small a probability gets.
+When alpha and beta are both zero, as in an answer-loss-only baseline, the
+KLs are not computed at all: both terms are zero, the modality gradients
+are zero and the fusion gradient is softmax minus the one-hot label.
 `finite_diff_check` compares its gradients for one sample, a (4, C) array in
 the same order, against central finite differences.
 """
@@ -37,6 +40,10 @@ CYCLE_PAIRS = (("question", "audio"), ("audio", "video"), ("video", "question"))
 # discrepancy pairs), then the cycle pairs J = [0, 2, 1], K = [2, 1, 0]
 _KL_P = np.array([3, 3, 3] + [PATHS.index(j) for j, _ in CYCLE_PAIRS])
 _KL_Q = np.array([0, 1, 2] + [PATHS.index(k) for _, k in CYCLE_PAIRS])
+# each cycle operand list is a permutation of the modalities; row m of a
+# (3, n, C) cycle array gathered by its inverse is the pair whose operand is m
+_CYCLE_P_INV = np.argsort(_KL_P[3:])
+_CYCLE_Q_INV = np.argsort(_KL_Q[3:])
 
 
 @dataclass
@@ -48,6 +55,9 @@ class DebiasConfig:
     epsilon: float = 1e-5
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.epsilon <= 0:
@@ -138,13 +148,22 @@ def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfi
         bad = labels[(labels < 0) | (labels >= c)][0]
         raise ValueError(f"label {bad} out of range for {c} classes")
 
-    shifted = z - z.max(axis=-1, keepdims=True)
+    # the row max over C, taken from a class-major copy: a max is exact in
+    # any order, and the reduction over a leading axis is the faster one
+    shifted = z - np.ascontiguousarray(z.transpose(0, 2, 1)).max(axis=1)[..., None]
     e = np.exp(shifted)
     norm = e.sum(axis=-1, keepdims=True)
     probs = e / norm
     logp = shifted - np.log(norm)
     rows = np.arange(n)
     answer = -logp[3, rows, labels]
+
+    if cfg.alpha == 0 and cfg.beta == 0:
+        # zero-weight terms are not computed: only the answer loss moves
+        grads = np.zeros_like(z)
+        grads[3] = probs[3]
+        grads[3, rows, labels] -= 1.0
+        return answer, np.zeros(n), np.zeros(n), grads
 
     p = probs[_KL_P]
     diff = logp[_KL_P] - logp[_KL_Q]
@@ -160,8 +179,8 @@ def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfi
     grads[3] = probs[3] + d_p[:3].sum(axis=0)
     grads[3, rows, labels] -= 1.0
     grads[:3] = d_q[:3]
-    grads[_KL_P[3:]] += d_p[3:]
-    grads[_KL_Q[3:]] += d_q[3:]
+    grads[:3] += d_p[3:][_CYCLE_P_INV]
+    grads[:3] += d_q[3:][_CYCLE_Q_INV]
     return answer, discrepancy, cycle, grads
 
 

@@ -250,12 +250,36 @@ def write_split(assignment: SplitAssignment, path: str | Path) -> None:
         out.write("\n")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+# each key of a split file's group object: (what it must be, its test)
+_GROUP_FIELDS = {
+    "task": ("a string", lambda v: isinstance(v, str)),
+    "question_type": ("a string", lambda v: isinstance(v, str)),
+    "mode": ("a string", lambda v: isinstance(v, str)),
+    "k": ("a number", _is_number),
+    "head_size": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "coverage": ("a number", _is_number),
+    "normalized_entropy": ("a number", _is_number),
+    "balanced": ("a boolean", lambda v: isinstance(v, bool)),
+    "head_answers": ("a list of strings", _is_string_list),
+    "tail_answers": ("a list of strings", _is_string_list),
+}
+
+
 def load_split(path: str | Path) -> SplitAssignment:
     """Read a split file written by write_split.
 
     A file that is not a JSON object holding a 'groups' array of complete
-    group objects and an 'assignments' object of 'head'/'tail' labels is
-    rejected with a ValueError naming the key.
+    group objects and an 'assignments' object of 'head'/'tail' labels, or
+    whose group holds a value of the wrong JSON type, is rejected with a
+    ValueError naming the key.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
@@ -269,20 +293,22 @@ def load_split(path: str | Path) -> SplitAssignment:
     for i, g in enumerate(doc["groups"]):
         if not isinstance(g, dict):
             raise ValueError(f"split file: groups[{i}] must be a JSON object")
-        try:
-            sol = SplitSolution(
-                key=GroupKey(g["task"], g["question_type"]),
-                mode=g["mode"],
-                k=g["k"],
-                head_size=g["head_size"],
-                head_answers=tuple(g["head_answers"]),
-                tail_answers=tuple(g["tail_answers"]),
-                coverage=g["coverage"],
-                normalized_entropy=g["normalized_entropy"],
-                balanced=g["balanced"],
-            )
-        except KeyError as exc:
-            raise ValueError(f"split file: groups[{i}] is missing key {exc.args[0]!r}") from None
+        for key, (kind, valid) in _GROUP_FIELDS.items():
+            if key not in g:
+                raise ValueError(f"split file: groups[{i}] is missing key {key!r}")
+            if not valid(g[key]):
+                raise ValueError(f"split file: groups[{i}] key {key!r} must be {kind}")
+        sol = SplitSolution(
+            key=GroupKey(g["task"], g["question_type"]),
+            mode=g["mode"],
+            k=g["k"],
+            head_size=g["head_size"],
+            head_answers=tuple(g["head_answers"]),
+            tail_answers=tuple(g["tail_answers"]),
+            coverage=g["coverage"],
+            normalized_entropy=g["normalized_entropy"],
+            balanced=g["balanced"],
+        )
         if sol.mode not in MODES:
             raise ValueError(
                 f"group ({sol.key.task}, {sol.key.question_type}): unknown split mode "

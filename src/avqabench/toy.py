@@ -25,7 +25,10 @@ Features are stacked the same way, (3, n, d), so a training step runs the
 three encoders, the shared head, `debias.batch_loss_and_grad` and the
 backward pass each as one stacked computation over all paths. Training is
 plain mini-batch SGD on answer + discrepancy + cycle losses, with gradients
-propagated through the affine maps in closed form.
+propagated through the affine maps in closed form. During training the five
+blocks are views into one flat parameter vector and their gradients views
+into a second one, so the backward pass writes each gradient in place and a
+step is one in-place update of the whole vector.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ class SyntheticSpec:
         for name in ("train_size", "head_test_size", "tail_test_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not math.isfinite(self.noise_std) or self.noise_std < 0:
+            raise ValueError("noise_std must be finite and non-negative")
 
 
 @dataclass
@@ -161,8 +164,8 @@ class TrainConfig:
     hidden_dim: int = 32
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError("learning_rate must be finite and positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -201,24 +204,33 @@ def _forward_batch(params, feats):
     return hidden, logits
 
 
-def _backward_batch(params, feats, hidden, grads):
-    """Parameter gradients from logit gradients (4, n, C).
+def _backward_batch(params, feats, hidden, grads, out):
+    """Parameter gradients from logit gradients (4, n, C), written into `out`.
 
-    All four paths accumulate into the shared head; the fusion path sums
-    the three embeddings, so each encoder receives its own path's
-    gradient plus the fusion path's.
+    `out` holds one array per block of `params`, of the same shape. All
+    four paths accumulate into the shared head; the fusion path sums the
+    three embeddings, so each encoder receives its own path's gradient plus
+    the fusion path's. Returns `out`.
     """
     back = grads @ params["head_weight"]  # (4, n, h)
     enc = back[:3] + back[3]
     c, h = params["head_weight"].shape
-    return {
-        "enc_weight": enc.transpose(0, 2, 1) @ feats,
-        "enc_bias": enc.sum(axis=1),
-        # sum over paths and samples at once: one (C, 4n) @ (4n, h) product
-        "head_weight": grads.reshape(-1, c).T @ hidden.reshape(-1, h),
-        "head_bias": grads.sum(axis=(0, 1)),
-        "path_bias": back.sum(axis=1),
-    }
+    np.matmul(enc.transpose(0, 2, 1), feats, out=out["enc_weight"])
+    enc.sum(axis=1, out=out["enc_bias"])
+    # sum over paths and samples at once: one (C, 4n) @ (4n, h) product
+    np.matmul(grads.reshape(-1, c).T, hidden.reshape(-1, h), out=out["head_weight"])
+    grads.sum(axis=(0, 1), out=out["head_bias"])
+    back.sum(axis=1, out=out["path_bias"])
+    return out
+
+
+def _views(flat, blocks):
+    """Blocks shaped like `blocks`, each a view into consecutive runs of `flat`."""
+    views, start = ToyModelParams(), 0
+    for name, block in blocks.items():
+        views[name] = flat[start : start + block.size].reshape(block.shape)
+        start += block.size
+    return views
 
 
 def train(
@@ -230,7 +242,11 @@ def train(
     also sizes the model. Deterministic given (spec.seed, tcfg.seed).
     Raises RuntimeError naming the epoch if the loss stops being finite.
     """
-    params = init_params(spec, tcfg)
+    init = init_params(spec, tcfg)
+    # see the module docstring: blocks and gradients view two flat vectors
+    flat = np.concatenate([block.ravel() for block in init.values()])
+    flat_grad = np.empty_like(flat)
+    params, grads = _views(flat, init), _views(flat_grad, init)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 3]))
     n = len(train_set)
     trace: list[LossBreakdown] = []
@@ -246,15 +262,17 @@ def train(
             )
             sums += (l_a.sum(), l_d.sum(), l_c.sum())
             logit_grads /= len(idx)
-            for name, grad in _backward_batch(params, feats, hidden, logit_grads).items():
-                params[name] -= tcfg.learning_rate * grad
+            _backward_batch(params, feats, hidden, logit_grads, grads)
+            # the elementwise arithmetic of `block -= lr * grad` per block
+            flat_grad *= tcfg.learning_rate
+            flat -= flat_grad
         epoch_loss = LossBreakdown(
             answer=sums[0] / n, discrepancy=sums[1] / n, cycle=sums[2] / n
         )
         if not math.isfinite(epoch_loss.total):
             raise RuntimeError(f"training diverged at epoch {epoch}")
         trace.append(epoch_loss)
-    return params, trace
+    return params.copy(), trace
 
 
 def _fusion_accuracy(params, dataset) -> tuple[int, int]:

@@ -289,10 +289,15 @@ class TestGradients:
         for label in range(3):
             assert finite_diff_check(logits, label, DebiasConfig()) < 1e-4
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [DebiasConfig(), DebiasConfig(beta=0.0), DebiasConfig(alpha=0.0)],
+        ids=["default", "discrepancy-only", "cycle-only"],
+    )
     @settings(max_examples=30, deadline=None)
     @given(logits=gapped_bundles(), label=st.integers(min_value=0, max_value=1))
-    def test_finite_difference_random_bundles(self, logits, label):
-        err = finite_diff_check(logits, label % logits.shape[1], DebiasConfig(), step=1e-5)
+    def test_finite_difference_random_bundles(self, cfg, logits, label):
+        err = finite_diff_check(logits, label % logits.shape[1], cfg, step=1e-5)
         assert err < 1e-4
 
     def test_step_must_be_positive(self):
@@ -314,6 +319,26 @@ class TestBatch:
             *single, single_grads = one_sample(logits[:, i], labels[i], cfg)
             np.testing.assert_allclose([t[i] for t in terms], single, rtol=1e-12)
             np.testing.assert_allclose(grads[:, i], single_grads, rtol=1e-12)
+
+    def test_zero_weights_leave_the_answer_gradient_alone(self):
+        rng = np.random.default_rng(7)
+        n, c = 9, 5
+        logits = rng.normal(0.0, 3.0, size=(4, n, c))
+        labels = rng.integers(0, c, size=n)
+        answer, discrepancy, cycle, grads = batch_loss_and_grad(
+            logits, labels, DebiasConfig(alpha=0.0, beta=0.0)
+        )
+        fusion = logits[FUSION]
+        shifted = fusion - fusion.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        expected = e / e.sum(axis=-1, keepdims=True)  # softmax
+        expected[np.arange(n), labels] -= 1.0  # minus onehot
+        assert np.array_equal(discrepancy, np.zeros(n))
+        assert np.array_equal(cycle, np.zeros(n))
+        assert np.array_equal(grads[:3], np.zeros((3, n, c)))
+        np.testing.assert_array_equal(grads[FUSION], expected)
+        log_norm = np.log(e.sum(axis=-1))
+        np.testing.assert_array_equal(answer, log_norm - shifted[np.arange(n), labels])
 
 
 class TestValidation:

@@ -44,3 +44,17 @@ def test_every_public_name_is_referenced():
         if not any(word.search(line) and not definition.match(line) for line in lines):
             unreached.append(qualified)
     assert unreached == []
+
+
+def test_toy_imports_no_private_name_from_debias():
+    """The toy reaches the debias core only through its public names."""
+    tree = ast.parse((PACKAGE / "toy.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("debias", 1), ("avqabench.debias", 0))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from avqabench.balance import AnswerDistribution, normalized_entropy
 from avqabench.records import DatasetManifest, GroupKey, QARecord, parse_dataset
 from avqabench.split import (
+    MODES,
     SplitConfig,
     build_assignment,
     conformal_split,
@@ -188,9 +189,10 @@ class TestAssignment:
             expected = "head" if rec.answer in head_set else "tail"
             assert assignment.labels[rec.id] == expected
 
-    def test_split_file_round_trip(self, tmp_path):
-        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
-        assignment = build_assignment(manifest, SplitConfig(mode="conformal"))
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("answers", [{"x": 7, "y": 2, "z": 1}, {"ünï": 3, "e\u2028f": 1}, {"x": 4}])
+    def test_split_file_round_trip(self, mode, answers, tmp_path):
+        assignment = build_assignment(_manifest_from_counts(answers), SplitConfig(mode=mode))
         path = tmp_path / "split.json"
         write_split(assignment, path)
         loaded = load_split(path)
@@ -246,6 +248,36 @@ class TestAssignment:
         with pytest.raises(ValueError) as info:
             load_split(path)
         assert str(info.value) == f"split file: groups[0] is missing key {key!r}"
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("task", 3, "a string"),
+            ("question_type", None, "a string"),
+            ("mode", ["conformal"], "a string"),
+            ("k", "half", "a number"),
+            ("k", True, "a number"),
+            ("head_size", 1.0, "an integer"),
+            ("head_size", False, "an integer"),
+            ("coverage", None, "a number"),
+            ("normalized_entropy", "0.5", "a number"),
+            ("balanced", "no", "a boolean"),
+            ("balanced", 1, "a boolean"),
+            ("head_answers", 3, "a list of strings"),
+            ("head_answers", "x", "a list of strings"),
+            ("tail_answers", ["y", 2], "a list of strings"),
+        ],
+    )
+    def test_group_value_of_the_wrong_type_names_the_key(self, key, value, kind, tmp_path):
+        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
+        path = tmp_path / "split.json"
+        write_split(build_assignment(manifest, SplitConfig()), path)
+        doc = json.loads(path.read_text())
+        doc["groups"][0][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_split(path)
+        assert str(info.value) == f"split file: groups[0] key {key!r} must be {kind}"
 
     def test_unknown_mode_in_split_file_rejected(self, tmp_path):
         manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})

@@ -1,12 +1,13 @@
 """Stacked toy model: backward pass, determinism, divergence, parameter blocks."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from avqabench import toy
-from avqabench.debias import DebiasConfig, batch_loss_and_grad
+from avqabench.debias import DebiasConfig, LossBreakdown, batch_loss_and_grad
 from avqabench.toy import (
     SyntheticSpec,
     TrainConfig,
@@ -32,6 +33,35 @@ def batch_objective(params, feats, labels, cfg):
     return answer.mean() + discrepancy.mean() + cycle.mean()
 
 
+def fresh_grads(params):
+    return {name: np.empty_like(block) for name, block in params.items()}
+
+
+def plain_train(spec, tcfg, train_set):
+    """Reference loop: a fresh gradient dict per step and `block -= lr * grad`."""
+    params = init_params(spec, tcfg)
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 3]))
+    n = len(train_set)
+    trace = []
+    for _ in range(tcfg.epochs):
+        order = shuffle_rng.permutation(n)
+        sums = np.zeros(3)
+        for start in range(0, n, tcfg.batch_size):
+            idx = order[start : start + tcfg.batch_size]
+            feats = train_set.features[:, idx]
+            hidden, logits = _forward_batch(params, feats)
+            l_a, l_d, l_c, logit_grads = batch_loss_and_grad(
+                logits, train_set.labels[idx], tcfg.debias
+            )
+            sums += (l_a.sum(), l_d.sum(), l_c.sum())
+            logit_grads /= len(idx)
+            step = _backward_batch(params, feats, hidden, logit_grads, fresh_grads(params))
+            for name, grad in step.items():
+                params[name] -= tcfg.learning_rate * grad
+        trace.append(LossBreakdown(answer=sums[0] / n, discrepancy=sums[1] / n, cycle=sums[2] / n))
+    return params, trace
+
+
 def test_backward_matches_central_differences_for_every_block():
     train_set, _, _ = generate_synthetic(SPEC)
     params = init_params(SPEC, CFG)
@@ -42,7 +72,7 @@ def test_backward_matches_central_differences_for_every_block():
 
     hidden, logits = _forward_batch(params, feats)
     grads = batch_loss_and_grad(logits, labels, cfg)[3] / len(labels)
-    analytic = _backward_batch(params, feats, hidden, grads)
+    analytic = _backward_batch(params, feats, hidden, grads, fresh_grads(params))
     assert analytic.keys() == params.keys()
 
     step = 1e-6
@@ -66,6 +96,61 @@ def test_same_spec_and_config_give_identical_runs():
     assert trace_a == trace_b
     for name in params_a:
         np.testing.assert_array_equal(params_a[name], params_b[name])
+
+
+@pytest.mark.parametrize(
+    "debias",
+    [
+        DebiasConfig(),
+        DebiasConfig(alpha=0.0, beta=0.0),
+        DebiasConfig(alpha=0.05, beta=0.0),
+        DebiasConfig(alpha=0.0, beta=0.05),
+    ],
+    ids=["default", "answer-only", "discrepancy-only", "cycle-only"],
+)
+@pytest.mark.parametrize("batch_size", [16, 24])  # 24 leaves a short last batch of 64
+def test_in_place_steps_equal_the_plain_loop_bit_for_bit(debias, batch_size):
+    cfg = replace(CFG, debias=debias, batch_size=batch_size)
+    train_set = generate_synthetic(SPEC)[0]
+    params, trace = train(SPEC, cfg, train_set)
+    expected_params, expected_trace = plain_train(SPEC, cfg, train_set)
+    assert trace == expected_trace
+    assert params.keys() == expected_params.keys()
+    for name, block in params.items():
+        # equal bytes, which also tells -0.0 from 0.0
+        assert block.tobytes() == expected_params[name].tobytes(), name
+
+
+def test_returned_params_own_their_memory():
+    train_set = generate_synthetic(SPEC)[0]
+    first, _ = train(SPEC, CFG, train_set)
+    kept = first.copy()
+    second, _ = train(SPEC, CFG, train_set)
+    blocks = list(first.values()) + list(second.values())
+    for i, a in enumerate(blocks):
+        assert not any(np.shares_memory(a, b) for b in blocks[i + 1 :])
+    for name, block in first.items():
+        np.testing.assert_array_equal(block, kept[name])
+        block += 1.0
+    third, _ = train(SPEC, CFG, train_set)
+    for name, block in third.items():
+        np.testing.assert_array_equal(block, second[name])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        (DebiasConfig, "alpha"),
+        (DebiasConfig, "beta"),
+        (DebiasConfig, "epsilon"),
+        (TrainConfig, "learning_rate"),
+        (SyntheticSpec, "noise_std"),
+    ],
+)
+def test_configs_reject_non_finite_numbers(config, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        config(**{name: value})
 
 
 def test_divergence_names_the_epoch():

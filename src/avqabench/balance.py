@@ -3,9 +3,10 @@
 A group's answer distribution is scored by Shannon entropy in bits and by
 normalized entropy, the ratio of the entropy to that of a uniform
 distribution over the same number of answer classes. Normalized entropy
-lies in [0, 1] and is independent of the logarithm base; a group is
-balanced when it scores at least BALANCED_ENTROPY (0.9) and imbalanced
-otherwise.
+lies in [0, 1] up to rounding, which can put a uniform distribution a few
+ulp above 1 (1.0000000000000004 for two classes of 11 each), and is
+independent of the logarithm base; a group is balanced when it scores at
+least BALANCED_ENTROPY (0.9) and imbalanced otherwise.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ def entropy(dist: AnswerDistribution) -> float:
 
 
 def normalized_entropy(dist: AnswerDistribution) -> float:
-    """Entropy divided by log2 of the class count, in [0, 1].
+    """Entropy divided by log2 of the class count, in [0, 1] up to a few ulp.
+
+    Rounding can put a uniform distribution just above 1, and the value
+    is returned as computed, not clamped.
 
     A single-class distribution is maximally concentrated, so the
     degenerate N=1 case (where log2 N = 0) is defined as 0.

@@ -21,7 +21,13 @@ Labels come from small closed sets and repeat across many records, so a
 parse keeps one string object per distinct value: the records of a dataset
 share their task, question_type, answer and video_id strings and the keys
 of their extras (via sys.intern), and a prediction file's equal
-predictions share one string. Each record's extras dict is its own.
+predictions share one string. A record's extras are a read-only mapping,
+and within one parse the records whose extras are equal share one: equal
+in key order, in each value and in each value's type, where every value is
+a str, int, bool or None. The JSON text of such a value is fixed by its
+type and value, so sharing never merges 1 with True or 1.0, or 0.0 with
+-0.0; a record with any other value (a float, list or object) gets a
+mapping of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 TASKS = ("audio", "visual", "avqa")
 
@@ -38,8 +45,14 @@ TASKS = ("audio", "visual", "avqa")
 # them; any other line goes through json.loads, so every line gets the
 # standard library's result or its error.
 _raw_decode = json.JSONDecoder().raw_decode
+# json.dumps(obj, ensure_ascii=False), without building an encoder per call.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 # Popped in place of a field the line does not have.
 _MISSING = object()
+# The extras of every record that has none.
+_NO_EXTRAS: Mapping[str, Any] = MappingProxyType({})
+# The types of the extras values that records may share a mapping for.
+_SHAREABLE = frozenset((str, int, bool, type(None)))
 
 
 class DatasetError(ValueError):
@@ -58,6 +71,13 @@ class GroupKey(NamedTuple):
 
 @dataclass(slots=True)
 class QARecord:
+    """One question of a dataset.
+
+    `extras` holds the fields outside the schema, in file order, as a
+    read-only mapping; a record built without them shares one empty
+    mapping. Any mapping compares equal to a dict with the same items.
+    """
+
     id: str
     task: str
     question_type: str
@@ -65,7 +85,7 @@ class QARecord:
     answer: str
     video_id: str | None = None
     rephrase_of: str | None = None
-    extras: dict = field(default_factory=dict)
+    extras: Mapping[str, Any] = field(default_factory=lambda: _NO_EXTRAS)
 
     def to_dict(self) -> dict:
         out = {
@@ -123,13 +143,22 @@ def _field_error(line_no: int, key: str, value) -> DatasetError:
     return DatasetError(f"line {line_no}: field '{key}' must be a string")
 
 
-def _parse_record_line(raw: dict, line_no: int) -> QARecord:
+def _parse_record_line(
+    raw: dict, line_no: int, extras_cache: dict[tuple, Mapping[str, Any]]
+) -> QARecord:
     """Build a record from a freshly decoded line, consuming `raw`.
 
     Each known field is popped and checked in turn, so the first problem
     on the line is the one reported; the fields left over are the extras.
-    Labels are interned once checked. The extras are copied to a fresh
-    dict, because a dict keeps its size when keys are popped.
+    Labels are interned once checked. The extras are copied to a new
+    mapping, because a dict keeps its size when keys are popped, unless
+    `extras_cache` already holds an equal one.
+
+    `extras_cache` maps the signature of some extras (their items in
+    order, then their values' types) to the shared mapping; it holds only
+    extras whose values are all of a _SHAREABLE type. A signature with any
+    other value is never found in it: an equal signature would have the
+    same types, and a list or object value cannot be hashed at all.
     """
     rec_id = raw.pop("id", _MISSING)
     if type(rec_id) is not str:
@@ -167,7 +196,15 @@ def _parse_record_line(raw: dict, line_no: int) -> QARecord:
         raise DatasetError(f"line {line_no}: field 'rephrase_of' must be a string")
     if video_id is not None:
         video_id = sys.intern(video_id)
-    extras = {sys.intern(key): value for key, value in raw.items()}
+    signature = (*raw.items(), *map(type, raw.values()))
+    try:
+        extras = extras_cache.get(signature)
+    except TypeError:
+        extras = None
+    if extras is None:
+        extras = MappingProxyType({sys.intern(key): value for key, value in raw.items()})
+        if _SHAREABLE.issuperset(signature[len(raw):]):
+            extras_cache[signature] = extras
     return QARecord(
         rec_id,
         sys.intern(task),
@@ -213,6 +250,15 @@ def _iter_json_lines(path: str | Path):
             yield line_no, raw
 
 
+def _first_line_of(path: str | Path, rec_id: str) -> int:
+    """The number of the first line of a file whose record has id `rec_id`.
+
+    Read again only to word an error, so a parse need not keep every id's
+    line number.
+    """
+    return next(n for n, raw in _iter_json_lines(path) if raw.get("id") == rec_id)
+
+
 def parse_dataset(path: str | Path) -> DatasetManifest:
     """Parse a line-delimited dataset file into a manifest.
 
@@ -221,18 +267,20 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
     references. Record order is preserved.
     """
     records: list[QARecord] = []
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
+    extras_cache: dict[tuple, Mapping[str, Any]] = {(): _NO_EXTRAS}
     for line_no, raw in _iter_json_lines(path):
-        rec = _parse_record_line(raw, line_no)
-        first = seen.setdefault(rec.id, line_no)
-        if first != line_no:
+        rec = _parse_record_line(raw, line_no, extras_cache)
+        if rec.id in seen:
+            first = _first_line_of(path, rec.id)
             raise DatasetError(f"duplicate id {rec.id!r} on lines {first} and {line_no}")
+        seen.add(rec.id)
         records.append(rec)
 
     for rec in records:
         if rec.rephrase_of is not None and rec.rephrase_of not in seen:
             raise DatasetError(
-                f"line {seen[rec.id]}: rephrase_of {rec.rephrase_of!r} "
+                f"line {_first_line_of(path, rec.id)}: rephrase_of {rec.rephrase_of!r} "
                 "does not reference an id in this dataset"
             )
     return DatasetManifest(records, group_records(records))
@@ -254,7 +302,7 @@ def parse_predictions(path: str | Path) -> dict[str, str]:
         if type(prediction) is not str:
             raise _field_error(line_no, "prediction", prediction)
         if rec_id in preds:
-            first = next(n for n, earlier in _iter_json_lines(path) if earlier.get("id") == rec_id)
+            first = _first_line_of(path, rec_id)
             raise DatasetError(f"duplicate id {rec_id!r} on lines {first} and {line_no}")
         preds[rec_id] = sys.intern(prediction)
     return preds
@@ -284,4 +332,4 @@ def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:
     """Serialize a manifest back to the line-delimited format, a line at a time."""
     with open(path, "w", encoding="utf-8") as out:
         for rec in manifest.records:
-            out.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")
+            out.write(_encode(rec.to_dict()) + "\n")

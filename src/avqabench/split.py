@@ -273,12 +273,45 @@ _GROUP_FIELDS = {
 }
 
 
+def _check_group_values(i: int, g: dict) -> None:
+    """Reject group i of a split file if write_split cannot have written it.
+
+    The group's types are already checked. Its numbers must be finite and
+    non-negative, its coverage at most 1, its head_size the length of
+    head_answers and its k head_size over the number of answers, and no
+    answer may appear twice in its two lists. normalized_entropy has no
+    upper bound: rounding can put it a few ulp above 1.
+    """
+
+    def reject(key: str, reason: str):
+        raise ValueError(f"split file: groups[{i}] key {key!r} {reason}")
+
+    for key in ("k", "head_size", "coverage", "normalized_entropy"):
+        value = g[key]
+        if not (isinstance(value, int) or math.isfinite(value)) or value < 0:
+            reject(key, "must be finite and non-negative")
+    if g["coverage"] > 1:
+        reject("coverage", "must be at most 1")
+    head, tail = g["head_answers"], g["tail_answers"]
+    if g["head_size"] != len(head):
+        reject("head_size", "must be the length of 'head_answers'")
+    if not (head or tail) or g["k"] != g["head_size"] / (len(head) + len(tail)):
+        reject("k", "must be head_size over the number of answers")
+    seen: set[str] = set()
+    for key in ("head_answers", "tail_answers"):
+        for answer in g[key]:
+            if answer in seen:
+                reject(key, f"repeats the answer {answer!r}")
+            seen.add(answer)
+
+
 def load_split(path: str | Path) -> SplitAssignment:
     """Read a split file written by write_split.
 
     A file that is not a JSON object holding a 'groups' array of complete
     group objects and an 'assignments' object of 'head'/'tail' labels, or
-    whose group holds a value of the wrong JSON type, is rejected with a
+    whose group holds a value of the wrong JSON type or one write_split
+    cannot have written (see _check_group_values), is rejected with a
     ValueError naming the key.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -298,6 +331,7 @@ def load_split(path: str | Path) -> SplitAssignment:
                 raise ValueError(f"split file: groups[{i}] is missing key {key!r}")
             if not valid(g[key]):
                 raise ValueError(f"split file: groups[{i}] key {key!r} must be {kind}")
+        _check_group_values(i, g)
         sol = SplitSolution(
             key=GroupKey(g["task"], g["question_type"]),
             mode=g["mode"],

@@ -2,7 +2,6 @@
 
 import gc
 import json
-import sys
 import tracemalloc
 
 import pytest
@@ -93,6 +92,18 @@ def test_question_type_trimmed_not_case_folded(write_jsonl):
     assert GroupKey("avqa", "counting") in keys
 
 
+def test_dataset_errors_count_blank_and_crlf_lines(tmp_path):
+    lines = [json.dumps(qa_row(1)), "", json.dumps(qa_row(2)) + "\r", "  "]
+    path = tmp_path / "dup.jsonl"
+    path.write_text("\n".join(lines + [json.dumps(qa_row(1))]) + "\n")
+    with pytest.raises(DatasetError, match=r"^duplicate id 'q1' on lines 1 and 5$"):
+        parse_dataset(path)
+    path = tmp_path / "dangling.jsonl"
+    path.write_text("\n".join(lines + [json.dumps(qa_row(3, rephrase_of="q9"))]) + "\n")
+    with pytest.raises(DatasetError, match=r"^line 5: rephrase_of 'q9' does not reference"):
+        parse_dataset(path)
+
+
 def test_rephrase_of_must_resolve(write_jsonl):
     path = write_jsonl([qa_row(1, rephrase_of="q99")])
     with pytest.raises(DatasetError, match="q99"):
@@ -117,7 +128,7 @@ def test_extra_fields_preserved_on_round_trip(write_jsonl, tmp_path):
 def test_labels_share_one_string_per_distinct_value(write_jsonl):
     rows = [
         qa_row(i, task="visual", qtype="Location", answer=["left", "right"][i % 2],
-               video_id=f"v{i // 3}", difficulty=i)
+               video_id=f"v{i // 3}", difficulty=i % 2)
         for i in range(6)
     ]
     manifest = parse_dataset(write_jsonl(rows))
@@ -128,9 +139,65 @@ def test_labels_share_one_string_per_distinct_value(write_jsonl):
             assert value is by_value.setdefault((field, value), value)
         (key,) = rec.extras
         assert key is by_value.setdefault(("extras", key), key)
-        # a fresh dict, not the decoded line's with its known fields popped
-        assert sys.getsizeof(rec.extras) == sys.getsizeof(dict(rec.extras.items()))
-    assert len(by_value) == 1 + 1 + 2 + 2 + 1
+        # one mapping per distinct extras, not the decoded line's dict
+        assert rec.extras is by_value.setdefault(("extras", *rec.extras.items()), rec.extras)
+    assert len(by_value) == 1 + 1 + 2 + 2 + 1 + 2
+
+
+def test_equal_extras_share_one_read_only_mapping(write_jsonl):
+    rows = [qa_row(i, difficulty=["easy", "hard"][i % 2], checked=i % 2 == 0) for i in range(6)]
+    records = parse_dataset(write_jsonl(rows + [qa_row(6), qa_row(7)])).records
+    for a, b in zip(records[:4], records[2:6]):
+        assert a.extras is b.extras
+    assert records[0].extras == {"difficulty": "easy", "checked": True}
+    assert records[1].extras == {"difficulty": "hard", "checked": False}
+    with pytest.raises(TypeError):
+        records[0].extras["difficulty"] = "medium"
+    with pytest.raises(TypeError):
+        del records[0].extras["checked"]
+    assert records[6].extras is records[7].extras == {}
+
+
+def test_record_built_without_extras_shares_the_empty_mapping(write_jsonl):
+    built = [QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="a")
+             for i in range(2)]
+    parsed = parse_dataset(write_jsonl([qa_row(0)])).records[0]
+    assert built[0].extras is built[1].extras is parsed.extras
+    assert built[0].extras == {}
+    with pytest.raises(TypeError):
+        built[0].extras["note"] = "x"
+
+
+def test_typed_extras_round_trip_and_share_only_same_typed_values(write_jsonl, tmp_path):
+    values = [1, True, 1.0, 0.0, -0.0, 2**70, "1", None, [1]]
+    path = write_jsonl([qa_row(i, value=value) for i, value in enumerate(values * 2)])
+    manifest = parse_dataset(path)
+    out = tmp_path / "out.jsonl"
+    write_dataset(manifest, out)
+    assert out.read_bytes() == path.read_bytes()
+    records = manifest.records
+    for a in records:
+        for b in records:
+            va, vb = a.extras["value"], b.extras["value"]
+            shareable = type(va) in (str, int, bool, type(None))
+            same = type(va) is type(vb) and va == vb
+            assert (a.extras is b.extras) == (a is b or (shareable and same)), (va, vb)
+    # a float or list value gets its own mapping, even when equal
+    floats = [rec.extras for rec in records if type(rec.extras["value"]) is float]
+    lists = [rec.extras for rec in records if type(rec.extras["value"]) is list]
+    assert len({id(extras) for extras in floats + lists}) == len(floats + lists) == 8
+
+
+def test_extras_keep_their_key_order(write_jsonl, tmp_path):
+    rows = [qa_row(1, b=1, a=2), qa_row(2, a=2, b=1), qa_row(3, b=1, a=2)]
+    path = write_jsonl(rows)
+    manifest = parse_dataset(path)
+    records = manifest.records
+    assert [list(rec.extras) for rec in records] == [["b", "a"], ["a", "b"], ["b", "a"]]
+    assert records[0].extras is records[2].extras is not records[1].extras
+    out = tmp_path / "out.jsonl"
+    write_dataset(manifest, out)
+    assert out.read_bytes() == path.read_bytes()
 
 
 def test_parse_groups_match_from_records(write_jsonl):
@@ -168,8 +235,9 @@ def test_parsed_records_retain_less_than_decoded_lines(write_jsonl):
     lines = path.read_text(encoding="utf-8").splitlines()
     decoded = _retained_bytes(lambda: [json.loads(line) for line in lines])
     parsed = _retained_bytes(lambda: parse_dataset(path))
-    # 0.43 when each label is one shared string, 0.78 with a copy per record (CPython 3.11)
-    assert parsed <= 0.6 * decoded, (parsed / len(rows), decoded / len(rows))
+    # 0.25 with one extras mapping per distinct value, 0.43 with a dict per
+    # record, 0.78 with a copy of each label per record (CPython 3.11)
+    assert parsed <= 0.3 * decoded, (parsed / len(rows), decoded / len(rows))
 
 
 def test_parse_is_deterministic(write_jsonl):

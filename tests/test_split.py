@@ -1,6 +1,7 @@
 """Head/tail split rules: coverage-constrained and legacy multiplier."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,12 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avqabench.balance import AnswerDistribution, normalized_entropy
 from avqabench.records import DatasetManifest, GroupKey, QARecord, parse_dataset
 from avqabench.split import (
     MODES,
+    SplitAssignment,
     SplitConfig,
     build_assignment,
     conformal_split,
@@ -278,6 +280,51 @@ class TestAssignment:
         with pytest.raises(ValueError) as info:
             load_split(path)
         assert str(info.value) == f"split file: groups[0] key {key!r} must be {kind}"
+
+    @pytest.mark.parametrize(
+        "changes, key, reason",
+        [
+            (
+                {"k": math.nan, "head_size": -3, "coverage": 7.5,
+                 "normalized_entropy": math.inf, "head_answers": ["two"], "tail_answers": ["two"]},
+                "k", "must be finite and non-negative",
+            ),
+            ({"k": -0.5}, "k", "must be finite and non-negative"),
+            ({"head_size": -1}, "head_size", "must be finite and non-negative"),
+            ({"coverage": math.inf}, "coverage", "must be finite and non-negative"),
+            ({"normalized_entropy": -math.inf}, "normalized_entropy", "must be finite and non-negative"),
+            ({"normalized_entropy": -1e-9}, "normalized_entropy", "must be finite and non-negative"),
+            ({"coverage": 1.0000000000000002}, "coverage", "must be at most 1"),
+            ({"head_size": 2}, "head_size", "must be the length of 'head_answers'"),
+            ({"k": 0.5}, "k", "must be head_size over the number of answers"),
+            ({"k": 0.0, "head_size": 0, "head_answers": [], "tail_answers": []},
+             "k", "must be head_size over the number of answers"),
+            ({"k": 0.5, "head_size": 2, "head_answers": ["x", "x"]},
+             "head_answers", "repeats the answer 'x'"),
+            ({"tail_answers": ["y", "y"]}, "tail_answers", "repeats the answer 'y'"),
+            ({"tail_answers": ["z", "x"]}, "tail_answers", "repeats the answer 'x'"),
+        ],
+    )
+    def test_group_value_write_split_cannot_write_names_the_key(self, changes, key, reason, tmp_path):
+        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
+        path = tmp_path / "split.json"
+        write_split(build_assignment(manifest, SplitConfig()), path)
+        doc = json.loads(path.read_text())
+        doc["groups"][0].update(changes)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_split(path)
+        assert str(info.value) == f"split file: groups[0] key {key!r} {reason}"
+
+    @given(counts=count_maps, mode=st.sampled_from(MODES))
+    # two classes of 11: normalized entropy 1.0000000000000004
+    @example(counts={"a": 11, "b": 11}, mode="conformal")
+    def test_every_written_group_loads(self, counts, mode, tmp_path_factory):
+        rule = conformal_split if mode == "conformal" else legacy_split
+        assignment = SplitAssignment(solutions=[rule(KEY, AnswerDistribution(counts))])
+        path = tmp_path_factory.mktemp("split") / "split.json"
+        write_split(assignment, path)
+        assert load_split(path).solutions == assignment.solutions
 
     def test_unknown_mode_in_split_file_rejected(self, tmp_path):
         manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})

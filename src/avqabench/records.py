@@ -21,13 +21,15 @@ Labels come from small closed sets and repeat across many records, so a
 parse keeps one string object per distinct value: the records of a dataset
 share their task, question_type, answer and video_id strings and the keys
 of their extras (via sys.intern), and a prediction file's equal
-predictions share one string. A record's extras are a read-only mapping,
+predictions share one string. A record's extras are a read-only dict,
 and within one parse the records whose extras are equal share one: equal
 in key order, in each value and in each value's type, where every value is
 a str, int, bool or None. The JSON text of such a value is fixed by its
 type and value, so sharing never merges 1 with True or 1.0, or 0.0 with
--0.0; a record with any other value (a float, list or object) gets a
-mapping of its own.
+-0.0; a record with any other value (a float, list or object) gets a dict
+of its own, the same size as a plain dict. A parse remembers at most
+_SHARED_EXTRAS_MAX distinct extras, so extras that never repeat (a
+per-question id, say) cost no more than a dict per record.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
 TASKS = ("audio", "visual", "avqa")
@@ -49,10 +50,29 @@ _raw_decode = json.JSONDecoder().raw_decode
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 # Popped in place of a field the line does not have.
 _MISSING = object()
-# The extras of every record that has none.
-_NO_EXTRAS: Mapping[str, Any] = MappingProxyType({})
-# The types of the extras values that records may share a mapping for.
+# The types of the extras values that records may share a dict for.
 _SHAREABLE = frozenset((str, int, bool, type(None)))
+# The most distinct extras one parse keeps for sharing; the rest are not shared.
+_SHARED_EXTRAS_MAX = 4096
+
+
+class _ReadOnlyDict(dict):
+    """A dict whose methods refuse to change it, so records can share one."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a record's extras are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _ReadOnlyDict, (dict(self),)
+
+
+# The extras of every record that has none.
+_NO_EXTRAS: Mapping[str, Any] = _ReadOnlyDict()
 
 
 class DatasetError(ValueError):
@@ -74,8 +94,7 @@ class QARecord:
     """One question of a dataset.
 
     `extras` holds the fields outside the schema, in file order, as a
-    read-only mapping; a record built without them shares one empty
-    mapping. Any mapping compares equal to a dict with the same items.
+    read-only dict; a record built without them shares one empty dict.
     """
 
     id: str
@@ -151,14 +170,14 @@ def _parse_record_line(
     Each known field is popped and checked in turn, so the first problem
     on the line is the one reported; the fields left over are the extras.
     Labels are interned once checked. The extras are copied to a new
-    mapping, because a dict keeps its size when keys are popped, unless
-    `extras_cache` already holds an equal one.
+    read-only dict, because a dict keeps its size when keys are popped,
+    unless `extras_cache` already holds an equal one.
 
-    `extras_cache` maps the signature of some extras (their items in
-    order, then their values' types) to the shared mapping; it holds only
-    extras whose values are all of a _SHAREABLE type. A signature with any
-    other value is never found in it: an equal signature would have the
-    same types, and a list or object value cannot be hashed at all.
+    `extras_cache` maps the signature of some extras (their keys in
+    order, then their values, then their values' types) to the shared
+    dict. Only extras whose values are all of a _SHAREABLE type have a
+    signature, and the cache stops taking new ones once it holds
+    _SHARED_EXTRAS_MAX.
     """
     rec_id = raw.pop("id", _MISSING)
     if type(rec_id) is not str:
@@ -196,14 +215,14 @@ def _parse_record_line(
         raise DatasetError(f"line {line_no}: field 'rephrase_of' must be a string")
     if video_id is not None:
         video_id = sys.intern(video_id)
-    signature = (*raw.items(), *map(type, raw.values()))
-    try:
-        extras = extras_cache.get(signature)
-    except TypeError:
-        extras = None
+    if _SHAREABLE.issuperset(map(type, raw.values())):
+        signature = (*raw, *raw.values(), *map(type, raw.values()))
+    else:
+        signature = None
+    extras = extras_cache.get(signature)  # None is never a key
     if extras is None:
-        extras = MappingProxyType({sys.intern(key): value for key, value in raw.items()})
-        if _SHAREABLE.issuperset(signature[len(raw):]):
+        extras = _ReadOnlyDict({sys.intern(key): value for key, value in raw.items()})
+        if signature is not None and len(extras_cache) < _SHARED_EXTRAS_MAX:
             extras_cache[signature] = extras
     return QARecord(
         rec_id,

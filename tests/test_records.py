@@ -1,12 +1,16 @@
 """Parsing, validation, and round-trip behaviour of the record layer."""
 
+import copy
 import gc
 import json
+import pickle
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from avqabench import records as records_module
 from avqabench.records import (
     DatasetError,
     DatasetManifest,
@@ -155,6 +159,17 @@ def test_equal_extras_share_one_read_only_mapping(write_jsonl):
         records[0].extras["difficulty"] = "medium"
     with pytest.raises(TypeError):
         del records[0].extras["checked"]
+    for change in (
+        lambda extras: extras.update(difficulty="medium"),
+        lambda extras: extras.setdefault("note", "x"),
+        lambda extras: extras.pop("checked"),
+        lambda extras: extras.popitem(),
+        lambda extras: extras.clear(),
+        lambda extras: extras.__ior__({"note": "x"}),
+    ):
+        with pytest.raises(TypeError):
+            change(records[0].extras)
+    assert records[0].extras == {"difficulty": "easy", "checked": True}
     assert records[6].extras is records[7].extras == {}
 
 
@@ -186,6 +201,34 @@ def test_typed_extras_round_trip_and_share_only_same_typed_values(write_jsonl, t
     floats = [rec.extras for rec in records if type(rec.extras["value"]) is float]
     lists = [rec.extras for rec in records if type(rec.extras["value"]) is list]
     assert len({id(extras) for extras in floats + lists}) == len(floats + lists) == 8
+
+
+def test_unshared_extras_cost_no_more_than_a_plain_dict(write_jsonl):
+    # a per-question id or a float score never repeats, so these records
+    # share nothing and must not pay for a wrapper around their dict
+    rows = [qa_row(i, difficulty="easy", question_id=i, score=i / 7) for i in range(3)]
+    for rec in parse_dataset(write_jsonl(rows + [qa_row(3, question_id=3)])).records:
+        assert isinstance(rec.extras, dict)
+        assert sys.getsizeof(rec.extras) == sys.getsizeof(dict(rec.extras))
+
+
+def test_a_parse_remembers_a_bounded_number_of_extras(write_jsonl, monkeypatch):
+    # room for the empty extras and two more
+    monkeypatch.setattr(records_module, "_SHARED_EXTRAS_MAX", 3)
+    rows = [qa_row(i, note=note) for i, note in enumerate("abccab")]
+    extras = [rec.extras for rec in parse_dataset(write_jsonl(rows)).records]
+    assert extras[0] is extras[4] and extras[1] is extras[5]
+    assert extras[2] == extras[3] == {"note": "c"}
+    assert extras[2] is not extras[3]
+
+
+def test_parsed_manifest_copies_and_pickles(write_jsonl):
+    manifest = parse_dataset(write_jsonl([qa_row(i, difficulty="easy") for i in range(2)]))
+    for copied in (copy.deepcopy(manifest), pickle.loads(pickle.dumps(manifest))):
+        assert copied == manifest
+        assert copied.records[0].extras is copied.records[1].extras
+        with pytest.raises(TypeError):
+            copied.records[0].extras["difficulty"] = "hard"
 
 
 def test_extras_keep_their_key_order(write_jsonl, tmp_path):

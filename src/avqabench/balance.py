@@ -82,8 +82,3 @@ def normalized_entropy(dist: AnswerDistribution) -> float:
     if n == 1:
         return 0.0
     return entropy(dist) / math.log2(n)
-
-
-def is_imbalanced(dist: AnswerDistribution) -> bool:
-    """True iff the group's normalized entropy falls below BALANCED_ENTROPY."""
-    return normalized_entropy(dist) < BALANCED_ENTROPY

@@ -21,8 +21,6 @@ exact and finite for any finite logits, however small a probability gets.
 When alpha and beta are both zero, as in an answer-loss-only baseline, the
 KLs are not computed at all: both terms are zero, the modality gradients
 are zero and the fusion gradient is softmax minus the one-hot label.
-`finite_diff_check` compares its gradients for one sample, a (4, C) array in
-the same order, against central finite differences.
 """
 
 from __future__ import annotations
@@ -82,38 +80,6 @@ class LossBreakdown:
             "cycle": self.cycle,
             "total": self.total,
         }
-
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax; entries positive, summing to 1 along axis."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("softmax of an empty vector is undefined")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax requires finite entries")
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) in nats between two probability vectors.
-
-    Terms where p is zero contribute 0; the result is infinite where q is
-    zero and p is not. Raises on length mismatch or vectors that do not sum
-    to 1. This probability-space form is the reference the log-space KL of
-    `batch_loss_and_grad` is tested against.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    for name, vec in (("p", p), ("q", q)):
-        if not math.isclose(float(vec.sum()), 1.0, abs_tol=1e-6):
-            raise ValueError(f"{name} must sum to 1, got {float(vec.sum())!r}")
-    support = p > 0
-    with np.errstate(divide="ignore"):
-        return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
 def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfig):
@@ -182,32 +148,3 @@ def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfi
     grads[:3] += d_p[3:][_CYCLE_P_INV]
     grads[:3] += d_q[3:][_CYCLE_Q_INV]
     return answer, discrepancy, cycle, grads
-
-
-def finite_diff_check(
-    logits: np.ndarray, label: int, cfg: DebiasConfig, step: float = 1e-5
-) -> float:
-    """Worst relative error of the analytic gradient vs central differences.
-
-    logits is one sample's (4, C) array in PATHS order, C >= 2, all finite.
-    Perturbs every entry by +/-step, evaluates all the perturbed samples as
-    one batch, and compares (L(+) - L(-)) / (2 step) against the closed
-    form, with denominator max(|analytic|, |numeric|, 1e-8). L(+) - L(-) is
-    summed from the differences of the three loss parts, so rounding in a
-    large part cannot swamp the change in a small one.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    base = np.asarray(logits, dtype=np.float64)
-    if base.ndim != 2 or base.shape[0] != len(PATHS) or base.shape[1] < 2:
-        raise ValueError(f"expected (4, C) logits with C >= 2, got shape {base.shape}")
-    if not np.all(np.isfinite(base)):
-        raise ValueError("logits must be finite")
-    entries = base.size
-    shifts = step * np.eye(entries).reshape(entries, *base.shape)
-    perturbed = np.concatenate([base + shifts, base - shifts]).transpose(1, 0, 2)
-    *parts, _ = batch_loss_and_grad(perturbed, np.full(2 * entries, label), cfg)
-    numeric = sum(part[:entries] - part[entries:] for part in parts) / (2.0 * step)
-    analytic = batch_loss_and_grad(base[:, None], np.array([label]), cfg)[3].reshape(-1)
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / scale))

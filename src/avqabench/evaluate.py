@@ -1,21 +1,21 @@
-"""Robustness evaluation: head/tail accuracy tables, answer matching,
-deterministic stratified subsampling, and inter-annotator agreement.
+"""Robustness evaluation: head/tail accuracy tables, answer normalization
+and deterministic stratified subsampling.
 
 Accuracy is reported per (task, question_type, head/tail) cell with
 sample-weighted (micro) rollups per task and pooled over everything, the
-layout used for head/tail robustness tables. Agreement statistics consume
-a histogram of positive-vote counts from a fixed panel of raters and
-report observed agreement, chance agreement, the chance-corrected kappa,
-and the strict-majority pass rate.
+layout used for head/tail robustness tables. A prediction is correct when
+it equals the gold answer after both are normalized; there is no
+numeral/word equivalence ("two" and "2" do not match), because the answer
+vocabulary is a closed label set.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .records import DatasetManifest, group_records, validate_pair
+from .records import DatasetManifest
 from .split import SplitAssignment
 
 _TERMINAL_PUNCT = ".,!?;:"
@@ -28,15 +28,6 @@ def normalize_answer(text: str) -> str:
     is a fixed point: normalizing it again changes nothing.
     """
     return " ".join(text.lower().split()).rstrip(_TERMINAL_PUNCT + " ")
-
-
-def match_answer(prediction: str, gold: str) -> bool:
-    """Exact match after normalization.
-
-    No numeral/word equivalence: "two" and "2" do not match; the answer
-    vocabulary is a closed label set.
-    """
-    return normalize_answer(prediction) == normalize_answer(gold)
 
 
 @dataclass
@@ -160,16 +151,17 @@ def _check_pairing(
     manifest: DatasetManifest, assignment: SplitAssignment, preds: dict[str, str]
 ) -> None:
     """Raise on the first unpaired id: prediction, then split label."""
-    pairing = validate_pair(manifest, preds)
-    if not pairing.valid:
+    gold_ids = {rec.id for rec in manifest.records}
+    missing = [rec.id for rec in manifest.records if rec.id not in preds]
+    orphans = [pid for pid in preds if pid not in gold_ids]
+    if missing or orphans:
         raise ValueError(
             "gold/prediction mismatch: missing predictions for "
-            f"{pairing.missing_predictions!r}, orphan predictions {pairing.orphan_predictions!r}"
+            f"{missing!r}, orphan predictions {orphans!r}"
         )
     unassigned = [rec.id for rec in manifest.records if rec.id not in assignment.labels]
     if unassigned:
         raise ValueError(f"records missing from split assignment: {unassigned!r}")
-    gold_ids = {rec.id for rec in manifest.records}
     extra = [rid for rid in assignment.labels if rid not in gold_ids]
     if extra:
         raise ValueError(f"split assignment labels ids not in the dataset: {extra!r}")
@@ -267,79 +259,4 @@ def uniform_sample(
         rng.shuffle(members)
         chosen.update(members[: targets[key]])
     records = [rec for rec in manifest.records if rec.id in chosen]
-    return DatasetManifest(records, group_records(records))
-
-
-@dataclass
-class AgreementStats:
-    """Vote-consistency statistics for a fixed panel of raters."""
-
-    histogram: dict[int, int]
-    raters: int
-    observed_agreement: float
-    chance_agreement: float
-    fleiss_kappa: float | None
-    pass_rate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "raters": self.raters,
-            "observed_agreement": self.observed_agreement,
-            "chance_agreement": self.chance_agreement,
-            "fleiss_kappa": self.fleiss_kappa,
-            "pass_rate": self.pass_rate,
-        }
-
-
-def agreement_stats(histogram: Mapping[int, int], raters: int) -> AgreementStats:
-    """Observed agreement, chance agreement, kappa, and majority pass rate.
-
-    `histogram` maps the number of positive votes (0..raters) to the item
-    count. Per-item agreement is sum_j n_ij (n_ij - 1) / (R (R - 1));
-    observed agreement is its mean over items, chance agreement is
-    sum_j p_j^2 over the marginal category proportions, and kappa is
-    (observed - chance) / (1 - chance). An item passes when strictly more
-    than half of the raters vote positive. Kappa is None (undefined) when
-    chance agreement is exactly 1.
-    """
-    if raters < 2:
-        raise ValueError("at least two raters are required")
-    cleaned: dict[int, int] = {}
-    for votes, items in histogram.items():
-        votes = int(votes)
-        if not 0 <= votes <= raters:
-            raise ValueError(f"positive-vote count {votes} outside 0..{raters}")
-        if items < 0:
-            raise ValueError("item counts must be non-negative")
-        cleaned[votes] = cleaned.get(votes, 0) + int(items)
-    n_items = sum(cleaned.values())
-    if n_items == 0:
-        raise ValueError("histogram holds no items")
-
-    pair_norm = raters * (raters - 1)
-    per_item_weighted = 0.0
-    positive_votes = 0
-    passing = 0
-    for votes, items in cleaned.items():
-        negative = raters - votes
-        agreement_i = (votes * (votes - 1) + negative * (negative - 1)) / pair_norm
-        per_item_weighted += items * agreement_i
-        positive_votes += items * votes
-        if votes * 2 > raters:
-            passing += items
-    observed = per_item_weighted / n_items
-
-    total_votes = n_items * raters
-    p_positive = positive_votes / total_votes
-    p_negative = 1.0 - p_positive
-    chance = p_positive**2 + p_negative**2
-    kappa = None if chance == 1.0 else (observed - chance) / (1.0 - chance)
-    return AgreementStats(
-        histogram=cleaned,
-        raters=raters,
-        observed_agreement=observed,
-        chance_agreement=chance,
-        fleiss_kappa=kappa,
-        pass_rate=passing / n_items,
-    )
+    return DatasetManifest(records)

@@ -12,10 +12,10 @@ In both, lines are separated by "\n" only and each is decoded as UTF-8 on
 its own. A string may hold any other line or paragraph separator raw
 (U+2028, U+0085, form feed, ...), and a "\r" before the "\n" is JSON
 whitespace. Unknown extra fields on dataset records are preserved on
-round-trip but otherwise ignored. Records are grouped by (task,
-question_type): each group holds the record objects themselves, the same
-objects as the record list and in file order, so grouping is rebuilt
-identically from the same records.
+round-trip but otherwise ignored. A DatasetManifest groups its records by
+(task, question_type) when it is built: each group holds the record objects
+themselves, the same objects as the record list and in file order, so the
+groups cannot disagree with the records.
 
 Labels come from small closed sets and repeat across many records, so a
 parse keeps one string object per distinct value: the records of a dataset
@@ -122,34 +122,23 @@ class QARecord:
         return out
 
 
-def group_records(records: list[QARecord]) -> dict[GroupKey, list[QARecord]]:
-    """Records by (task, question_type), groups and members in first-seen order."""
-    groups: dict[GroupKey, list[QARecord]] = {}
-    for rec in records:
-        key = (rec.task, rec.question_type)
-        group = groups.get(key)
-        if group is None:
-            groups[GroupKey(*key)] = group = []
-        group.append(rec)
-    return groups
-
-
 @dataclass
 class DatasetManifest:
-    """Ordered records plus the derived (task, question_type) grouping."""
+    """Ordered records plus the (task, question_type) groups built from them,
+    groups and members in first-seen order."""
 
     records: list[QARecord]
-    groups: dict[GroupKey, list[QARecord]]
+    groups: dict[GroupKey, list[QARecord]] = field(init=False)
 
-    @classmethod
-    def from_records(cls, records: list[QARecord]) -> "DatasetManifest":
-        """Group the records; raises DatasetError naming a repeated id."""
-        ids: set[str] = set()
-        for rec in records:
-            if rec.id in ids:
-                raise DatasetError(f"duplicate id {rec.id!r}")
-            ids.add(rec.id)
-        return cls(records=list(records), groups=group_records(records))
+    def __post_init__(self):
+        groups: dict[GroupKey, list[QARecord]] = {}
+        for rec in self.records:
+            key = (rec.task, rec.question_type)
+            group = groups.get(key)
+            if group is None:
+                groups[GroupKey(*key)] = group = []
+            group.append(rec)
+        self.groups = groups
 
     def __len__(self) -> int:
         return len(self.records)
@@ -302,7 +291,7 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
                 f"line {_first_line_of(path, rec.id)}: rephrase_of {rec.rephrase_of!r} "
                 "does not reference an id in this dataset"
             )
-    return DatasetManifest(records, group_records(records))
+    return DatasetManifest(records)
 
 
 def parse_predictions(path: str | Path) -> dict[str, str]:
@@ -325,26 +314,6 @@ def parse_predictions(path: str | Path) -> dict[str, str]:
             raise DatasetError(f"duplicate id {rec_id!r} on lines {first} and {line_no}")
         preds[rec_id] = sys.intern(prediction)
     return preds
-
-
-@dataclass
-class ValidationReport:
-    """Ids that fail to pair up between a gold manifest and predictions."""
-
-    missing_predictions: list[str]
-    orphan_predictions: list[str]
-
-    @property
-    def valid(self) -> bool:
-        return not self.missing_predictions and not self.orphan_predictions
-
-
-def validate_pair(manifest: DatasetManifest, preds: dict[str, str]) -> ValidationReport:
-    """Report gold ids with no prediction and prediction ids with no gold record."""
-    gold_ids = {rec.id for rec in manifest.records}
-    missing = [rec.id for rec in manifest.records if rec.id not in preds]
-    orphans = [pid for pid in preds if pid not in gold_ids]
-    return ValidationReport(missing_predictions=missing, orphan_predictions=orphans)
 
 
 def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:

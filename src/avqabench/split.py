@@ -80,15 +80,12 @@ class SplitAssignment:
         }
 
 
-def ranked_labels(counts: Mapping[str, int]) -> list[str]:
-    """Labels sorted by count descending, ties by ascending label."""
-    return sorted((a for a, c in counts.items() if c > 0), key=lambda a: (-counts[a], a))
-
-
 def _ranked_nonempty(key: GroupKey, dist: AnswerDistribution) -> list[str]:
+    """Labels of nonzero count, by count descending, ties by ascending label."""
     if dist.total == 0:
         raise ValueError(f"group {key} is empty")
-    return ranked_labels(dist.counts)
+    counts = dist.counts
+    return sorted((a for a, c in counts.items() if c > 0), key=lambda a: (-counts[a], a))
 
 
 def _solution(

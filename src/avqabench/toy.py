@@ -143,17 +143,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[ToyDataset, ToyDataset, Toy
     return train, head, tail
 
 
-class ToyModelParams(dict[str, np.ndarray]):
-    """The five parameter blocks by name; see the module docstring."""
-
-    def parameter_count(self) -> int:
-        """Counts the shared head exactly once."""
-        return sum(block.size for block in self.values())
-
-    def copy(self) -> "ToyModelParams":
-        return ToyModelParams({name: block.copy() for name, block in self.items()})
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-2
@@ -174,8 +163,9 @@ class TrainConfig:
             raise ValueError("hidden_dim must be at least 1")
 
 
-def init_params(spec: SyntheticSpec, tcfg: TrainConfig) -> ToyModelParams:
-    """Symmetric uniform init scaled by 1/sqrt(fan_in); path biases zero."""
+def init_params(spec: SyntheticSpec, tcfg: TrainConfig) -> dict[str, np.ndarray]:
+    """The five parameter blocks by name: symmetric uniform init scaled by
+    1/sqrt(fan_in), path biases zero."""
     rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 2]))
     d, h, c = spec.feature_dim, tcfg.hidden_dim, spec.num_classes
 
@@ -184,7 +174,7 @@ def init_params(spec: SyntheticSpec, tcfg: TrainConfig) -> ToyModelParams:
         return rng.uniform(-bound, bound, size=shape)
 
     m = len(MODALITIES)
-    return ToyModelParams(
+    return dict(
         enc_weight=uniform((m, h, d), d),
         enc_bias=uniform((m, h), d),
         head_weight=uniform((c, h), h),
@@ -226,7 +216,7 @@ def _backward_batch(params, feats, hidden, grads, out):
 
 def _views(flat, blocks):
     """Blocks shaped like `blocks`, each a view into consecutive runs of `flat`."""
-    views, start = ToyModelParams(), 0
+    views, start = {}, 0
     for name, block in blocks.items():
         views[name] = flat[start : start + block.size].reshape(block.shape)
         start += block.size
@@ -235,7 +225,7 @@ def _views(flat, blocks):
 
 def train(
     spec: SyntheticSpec, tcfg: TrainConfig, train_set: ToyDataset
-) -> tuple[ToyModelParams, list[LossBreakdown]]:
+) -> tuple[dict[str, np.ndarray], list[LossBreakdown]]:
     """Mini-batch SGD on the joint objective; returns the per-epoch trace.
 
     `train_set` is the first set generate_synthetic(spec) returns; `spec`
@@ -272,7 +262,7 @@ def train(
         if not math.isfinite(epoch_loss.total):
             raise RuntimeError(f"training diverged at epoch {epoch}")
         trace.append(epoch_loss)
-    return params.copy(), trace
+    return {name: block.copy() for name, block in params.items()}, trace
 
 
 def _fusion_accuracy(params, dataset) -> tuple[int, int]:
@@ -282,7 +272,7 @@ def _fusion_accuracy(params, dataset) -> tuple[int, int]:
 
 
 def evaluate_toy(
-    params: ToyModelParams, head_test: ToyDataset, tail_test: ToyDataset
+    params: dict[str, np.ndarray], head_test: ToyDataset, tail_test: ToyDataset
 ) -> dict:
     """Fusion-argmax accuracy on head, tail, and both pooled."""
     head_correct, head_n = _fusion_accuracy(params, head_test)

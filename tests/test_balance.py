@@ -1,16 +1,11 @@
-"""Entropy, normalized entropy, and the imbalance filter."""
+"""Entropy, normalized entropy, and the balance threshold."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from avqabench.balance import (
-    AnswerDistribution,
-    entropy,
-    is_imbalanced,
-    normalized_entropy,
-)
+from avqabench.balance import BALANCED_ENTROPY, AnswerDistribution, entropy, normalized_entropy
 
 count_dicts = st.dictionaries(
     keys=st.text(alphabet="abcdefgh", min_size=1, max_size=3),
@@ -65,9 +60,12 @@ def test_single_class_normalized_is_zero():
 
 
 def test_imbalance_examples():
-    assert is_imbalanced(AnswerDistribution({"a": 9, "b": 1}))  # ~0.469 < 0.9
-    assert not is_imbalanced(AnswerDistribution({str(i): 2 for i in range(5)}))
-    assert not is_imbalanced(AnswerDistribution({"a": 2, "b": 1, "c": 1}))  # ~0.946
+    def score(counts):
+        return normalized_entropy(AnswerDistribution(counts))
+
+    assert score({"a": 9, "b": 1}) < BALANCED_ENTROPY  # ~0.469
+    assert score({str(i): 2 for i in range(5)}) >= BALANCED_ENTROPY
+    assert score({"a": 2, "b": 1, "c": 1}) >= BALANCED_ENTROPY  # ~0.946
 
 
 def test_negative_count_rejected():

@@ -1,19 +1,20 @@
-"""Accuracy reporting, matching, sampling, and agreement statistics."""
+"""Accuracy reporting, answer matching and sampling."""
 
 import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from avqabench.evaluate import (
-    agreement_stats,
-    accuracy_report,
-    match_answer,
-    normalize_answer,
-    uniform_sample,
+from avqabench.evaluate import accuracy_report, normalize_answer, uniform_sample
+from avqabench.records import (
+    DatasetManifest,
+    GroupKey,
+    QARecord,
+    parse_dataset,
+    parse_predictions,
 )
-from avqabench.records import DatasetManifest, GroupKey, QARecord
 from avqabench.split import SplitAssignment, SplitConfig, build_assignment
+from conftest import qa_row
 
 ANSWERS = ["two", "yes", "acoustic guitar", "Left", "cello."]
 VARIANTS = [
@@ -28,9 +29,18 @@ VARIANTS = [
 ]
 
 
+def match_answer(prediction: str, gold: str) -> bool:
+    """Exact match after normalization.
+
+    No numeral/word equivalence: "two" and "2" do not match; the answer
+    vocabulary is a closed label set.
+    """
+    return normalize_answer(prediction) == normalize_answer(gold)
+
+
 def make_manifest(rows):
     """rows: (id, task, qtype, answer)"""
-    return DatasetManifest.from_records(
+    return DatasetManifest(
         [QARecord(id=i, task=t, question_type=q, question="?", answer=a) for i, t, q, a in rows]
     )
 
@@ -207,6 +217,27 @@ def test_unpaired_ids_raise_the_listed_mismatch(pipeline, data):
     assert str(info.value) == message
 
 
+def test_parsed_files_that_pair_exactly_score_every_record(write_jsonl, tmp_path):
+    manifest = parse_dataset(write_jsonl([qa_row(1), qa_row(2)]))
+    ppath = tmp_path / "p.jsonl"
+    ppath.write_text('{"id": "q1", "prediction": "one"}\n{"id": "q2", "prediction": "y"}\n')
+    assignment = build_assignment(manifest, SplitConfig())
+    pooled = accuracy_report(manifest, assignment, parse_predictions(ppath)).pooled()
+    assert (pooled.correct, pooled.count) == (1, 2)
+
+
+def test_parsed_files_name_the_missing_and_orphan_ids(write_jsonl, tmp_path):
+    manifest = parse_dataset(write_jsonl([qa_row(1), qa_row(2)]))
+    ppath = tmp_path / "p.jsonl"
+    ppath.write_text('{"id": "q2", "prediction": "y"}\n{"id": "q9", "prediction": "z"}\n')
+    assignment = build_assignment(manifest, SplitConfig())
+    with pytest.raises(ValueError) as info:
+        accuracy_report(manifest, assignment, parse_predictions(ppath))
+    assert str(info.value) == (
+        "gold/prediction mismatch: missing predictions for ['q1'], orphan predictions ['q9']"
+    )
+
+
 def test_split_label_mismatches_raise_the_listed_ids():
     manifest, assignment, preds = fixture_manifest_and_preds()
     assignment.labels["ghost"] = "tail"
@@ -310,7 +341,7 @@ class TestUniformSample:
         assert [rec.id for rec in sampled.records] == reference_sample_ids(
             manifest, assignment, ratio, seed
         )
-        rebuilt = DatasetManifest.from_records(sampled.records)
+        rebuilt = DatasetManifest(sampled.records)
         assert list(sampled.groups.items()) == list(rebuilt.groups.items())
         assert all(type(key) is GroupKey for key in sampled.groups)
 
@@ -339,63 +370,3 @@ class TestUniformSample:
             full[key] = full.get(key, 0) + 1
         for key, size in full.items():
             assert abs(counts.get(key, 0) - ratio * size) < 1.0
-
-
-class TestAgreement:
-    def test_published_consistency_histogram(self):
-        # three raters voted on 228,225 rephrasings; vote counts from the
-        # released consistency table
-        stats = agreement_stats({3: 164219, 2: 47353, 1: 7481, 0: 9172}, raters=3)
-        assert stats.observed_agreement == pytest.approx(0.8398, abs=5e-4)
-        assert stats.pass_rate == pytest.approx(0.9270, abs=5e-4)
-        assert stats.fleiss_kappa == pytest.approx(0.297, abs=1e-3)
-
-    def test_unanimous_both_categories(self):
-        stats = agreement_stats({3: 10, 0: 5}, raters=3)
-        assert stats.observed_agreement == 1.0
-        assert stats.fleiss_kappa == 1.0
-
-    def test_every_item_split_two_one(self):
-        stats = agreement_stats({2: 12}, raters=3)
-        assert stats.observed_agreement == pytest.approx(1 / 3)
-        assert stats.chance_agreement == pytest.approx(5 / 9)
-        assert stats.fleiss_kappa == pytest.approx(-0.5)
-
-    def test_single_category_kappa_undefined(self):
-        stats = agreement_stats({3: 10}, raters=3)
-        assert stats.observed_agreement == 1.0
-        assert stats.chance_agreement == 1.0
-        assert stats.fleiss_kappa is None
-
-    def test_pass_rate_requires_strict_majority(self):
-        stats = agreement_stats({2: 1, 1: 1}, raters=4)
-        # 2 of 4 is not a strict majority
-        assert stats.pass_rate == 0.0
-        stats = agreement_stats({3: 1, 1: 3}, raters=4)
-        assert stats.pass_rate == 0.25
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            agreement_stats({}, raters=3)
-        with pytest.raises(ValueError):
-            agreement_stats({4: 1}, raters=3)
-        with pytest.raises(ValueError):
-            agreement_stats({1: 1}, raters=1)
-
-    @given(
-        h3=st.integers(0, 50),
-        h2=st.integers(0, 50),
-        h1=st.integers(0, 50),
-        h0=st.integers(0, 50),
-    )
-    def test_bounds(self, h3, h2, h1, h0):
-        histogram = {3: h3, 2: h2, 1: h1, 0: h0}
-        if sum(histogram.values()) == 0:
-            return
-        stats = agreement_stats(histogram, raters=3)
-        assert 0.0 <= stats.observed_agreement <= 1.0
-        assert 0.0 <= stats.pass_rate <= 1.0
-        if stats.fleiss_kappa is not None:
-            assert stats.fleiss_kappa <= 1.0
-            if stats.observed_agreement == 1.0:
-                assert stats.fleiss_kappa == 1.0

@@ -19,7 +19,6 @@ from avqabench.records import (
     _iter_json_lines,
     parse_dataset,
     parse_predictions,
-    validate_pair,
     write_dataset,
 )
 from conftest import qa_row
@@ -48,15 +47,6 @@ def test_duplicate_id_names_both_lines(write_jsonl):
     path = write_jsonl(rows)
     with pytest.raises(DatasetError, match=r"duplicate id 'q1' on lines 1 and 3"):
         parse_dataset(path)
-
-
-def test_from_records_rejects_a_repeated_id():
-    records = [
-        QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="a")
-        for i in range(3)
-    ]
-    with pytest.raises(DatasetError, match="duplicate id 'q1'"):
-        DatasetManifest.from_records(records + [records[1]])
 
 
 def test_empty_file_gives_empty_manifest(tmp_path):
@@ -247,9 +237,22 @@ def test_parse_groups_match_from_records(write_jsonl):
     rows = [qa_row(i, task=["audio", "visual"][i % 2], qtype=["Counting", "Location"][i % 3 > 0])
             for i in range(9)]
     manifest = parse_dataset(write_jsonl(rows))
-    rebuilt = DatasetManifest.from_records(manifest.records)
+    rebuilt = DatasetManifest(manifest.records)
     assert list(manifest.groups.items()) == list(rebuilt.groups.items())
     assert all(type(key) is GroupKey for key in manifest.groups)
+
+
+def test_groups_are_built_from_the_records_and_cannot_be_passed():
+    records = [
+        QARecord(id=f"q{i}", task=["audio", "visual"][i % 2], question_type="Counting",
+                 question="?", answer="a")
+        for i in range(4)
+    ]
+    manifest = DatasetManifest(records)
+    assert list(manifest.groups) == [("audio", "Counting"), ("visual", "Counting")]
+    assert manifest.groups[("audio", "Counting")] == [records[0], records[2]]
+    with pytest.raises(TypeError):
+        DatasetManifest(records, groups={})
 
 
 def _retained_bytes(build):
@@ -318,7 +321,7 @@ def test_non_newline_line_breaks_round_trip(char, tmp_path):
         ),
         QARecord(id="q2", task="audio", question_type="Counting", question="?", answer="one"),
     ]
-    manifest = DatasetManifest.from_records(records)
+    manifest = DatasetManifest(records)
     path = tmp_path / "data.jsonl"
     write_dataset(manifest, path)
     # json.dumps escapes the C0 controls; U+0085, U+2028 and U+2029 are written raw
@@ -512,26 +515,6 @@ def test_predictions_empty_file(tmp_path):
     assert parse_predictions(path) == {}
 
 
-def test_validate_pair_exact_match(write_jsonl, tmp_path):
-    manifest = parse_dataset(write_jsonl([qa_row(1), qa_row(2)]))
-    ppath = tmp_path / "p.jsonl"
-    ppath.write_text('{"id": "q1", "prediction": "x"}\n{"id": "q2", "prediction": "y"}\n')
-    report = validate_pair(manifest, parse_predictions(ppath))
-    assert report.valid
-    assert report.missing_predictions == []
-    assert report.orphan_predictions == []
-
-
-def test_validate_pair_missing_and_orphan(write_jsonl, tmp_path):
-    manifest = parse_dataset(write_jsonl([qa_row(1), qa_row(2)]))
-    ppath = tmp_path / "p.jsonl"
-    ppath.write_text('{"id": "q2", "prediction": "y"}\n{"id": "q9", "prediction": "z"}\n')
-    report = validate_pair(manifest, parse_predictions(ppath))
-    assert not report.valid
-    assert report.missing_predictions == ["q1"]
-    assert report.orphan_predictions == ["q9"]
-
-
 record_ids = st.lists(
     st.integers(min_value=0, max_value=50).map(lambda i: f"q{i}"),
     min_size=0,
@@ -550,9 +533,9 @@ def test_grouping_partitions_record_ids(ids, tasks, qtypes):
         QARecord(id=i, task=t, question_type=qt, question="?", answer="a")
         for i, t, qt in zip(ids, tasks, qtypes)
     ]
-    manifest = DatasetManifest.from_records(records)
+    manifest = DatasetManifest(records)
     members = [rec for group in manifest.groups.values() for rec in group]
     # groups hold the record objects themselves, each exactly once
     assert sorted(map(id, members)) == sorted(map(id, records))
     # rebuilding from the same records yields identical grouping
-    assert DatasetManifest.from_records(records).groups == manifest.groups
+    assert DatasetManifest(records).groups == manifest.groups

@@ -143,7 +143,7 @@ def _manifest_from_counts(counts, task="avqa", qtype="Counting"):
                 QARecord(id=f"q{i}", task=task, question_type=qtype, question="?", answer=answer)
             )
             i += 1
-    return DatasetManifest.from_records(rows)
+    return DatasetManifest(rows)
 
 
 class TestAssignment:
@@ -163,7 +163,7 @@ class TestAssignment:
 
     def test_empty_manifest(self):
         assignment = build_assignment(
-            DatasetManifest.from_records([]), SplitConfig(mode="conformal")
+            DatasetManifest([]), SplitConfig(mode="conformal")
         )
         assert assignment.labels == {}
         assert assignment.solutions == []
@@ -390,9 +390,9 @@ class TestDistributionReport:
             QARecord(id=f"v{i}", task="visual", question_type="Location", question="?", answer="l")
             for i in range(4)
         ]
-        manifest = DatasetManifest.from_records(first + second)
+        manifest = DatasetManifest(first + second)
         assert len(manifest) == 10 and len(manifest.groups) == 2
-        assignment = build_assignment(DatasetManifest.from_records(first), SplitConfig())
+        assignment = build_assignment(DatasetManifest(first), SplitConfig())
         with pytest.raises(ValueError, match=r"group \(visual, Location\) has no split solution"):
             distribution_report(manifest, assignment, manifest)
 

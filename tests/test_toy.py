@@ -124,7 +124,7 @@ def test_in_place_steps_equal_the_plain_loop_bit_for_bit(debias, batch_size):
 def test_returned_params_own_their_memory():
     train_set = generate_synthetic(SPEC)[0]
     first, _ = train(SPEC, CFG, train_set)
-    kept = first.copy()
+    kept = {name: block.copy() for name, block in first.items()}
     second, _ = train(SPEC, CFG, train_set)
     blocks = list(first.values()) + list(second.values())
     for i, a in enumerate(blocks):
@@ -166,10 +166,15 @@ def test_parameter_count_counts_the_shared_head_once():
     encoders = 3 * (h * d + h)
     head = c * h + c
     path_biases = 4 * h
-    assert params.parameter_count() == encoders + head + path_biases
-    copy = params.copy()
-    copy["head_weight"] += 1.0
-    assert not np.array_equal(copy["head_weight"], params["head_weight"])
+    assert sum(block.size for block in params.values()) == encoders + head + path_biases
+
+
+def test_train_returns_a_plain_dict_of_the_init_blocks():
+    params, _ = train(SPEC, CFG, generate_synthetic(SPEC)[0])
+    start = init_params(SPEC, CFG)
+    assert type(params) is dict
+    assert list(params) == list(start)
+    assert all(params[name].shape == block.shape for name, block in start.items())
 
 
 def test_paired_experiment_generates_each_dataset_once(monkeypatch):

@@ -62,16 +62,12 @@ class EvalReport:
 
     cells: dict[tuple[str, str, str], CellStats]
 
-    def task_rollup(self, task: str, part: str | None = None) -> CellStats | None:
+    def rollup(self, task: str | None = None, part: str | None = None) -> CellStats | None:
+        """The merged cells of one task (None: all) and one part (None: both)."""
         return _merge(
             stats
             for (t, _, p), stats in self.cells.items()
-            if t == task and (part is None or p == part)
-        )
-
-    def pooled(self, part: str | None = None) -> CellStats | None:
-        return _merge(
-            stats for (_, _, p), stats in self.cells.items() if part is None or p == part
+            if task in (None, t) and part in (None, p)
         )
 
     def tasks(self) -> list[str]:
@@ -96,16 +92,16 @@ class EvalReport:
             ],
             "tasks": {
                 task: {
-                    "head": maybe(self.task_rollup(task, "head")),
-                    "tail": maybe(self.task_rollup(task, "tail")),
-                    "overall": maybe(self.task_rollup(task)),
+                    "head": maybe(self.rollup(task, "head")),
+                    "tail": maybe(self.rollup(task, "tail")),
+                    "overall": maybe(self.rollup(task)),
                 }
                 for task in self.tasks()
             },
             "pooled": {
-                "head": maybe(self.pooled("head")),
-                "tail": maybe(self.pooled("tail")),
-                "overall": maybe(self.pooled()),
+                "head": maybe(self.rollup(part="head")),
+                "tail": maybe(self.rollup(part="tail")),
+                "overall": maybe(self.rollup()),
             },
         }
 
@@ -128,8 +124,8 @@ class EvalReport:
             rows.append(row)
         summary = ["all"]
         for task in tasks:
-            summary.append(fmt(self.task_rollup(task, "head")))
-            summary.append(fmt(self.task_rollup(task, "tail")))
+            summary.append(fmt(self.rollup(task, "head")))
+            summary.append(fmt(self.rollup(task, "tail")))
         rows.append(summary)
 
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
@@ -137,11 +133,9 @@ class EvalReport:
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
             for row in rows
         ]
-        pooled = {p: self.pooled(p) for p in ("head", "tail")}
-        overall = self.pooled()
         lines.append(
             "pooled: head {} tail {} overall {}".format(
-                fmt(pooled["head"]), fmt(pooled["tail"]), fmt(overall)
+                fmt(self.rollup(part="head")), fmt(self.rollup(part="tail")), fmt(self.rollup())
             )
         )
         return "\n".join(lines)
@@ -150,8 +144,13 @@ class EvalReport:
 def _check_pairing(
     manifest: DatasetManifest, assignment: SplitAssignment, preds: dict[str, str]
 ) -> None:
-    """Raise on the first unpaired id: prediction, then split label."""
-    gold_ids = {rec.id for rec in manifest.records}
+    """Raise on a repeated dataset id, else on the first unpaired id:
+    prediction, then split label."""
+    gold_ids: set[str] = set()
+    for rec in manifest.records:
+        if rec.id in gold_ids:
+            raise ValueError(f"dataset repeats the id {rec.id!r}")
+        gold_ids.add(rec.id)
     missing = [rec.id for rec in manifest.records if rec.id not in preds]
     orphans = [pid for pid in preds if pid not in gold_ids]
     if missing or orphans:
@@ -174,14 +173,15 @@ def accuracy_report(
 ) -> EvalReport:
     """Score predictions against gold answers per head/tail cell.
 
-    Requires a complete pairing: every gold id predicted, no orphan
-    predictions, every gold id present in the split assignment, and no
-    split label for an id outside the dataset. Unresolved ids raise with
-    the offending ids listed.
+    Requires distinct gold ids and a complete pairing: every gold id
+    predicted, no orphan predictions, every gold id present in the split
+    assignment, and no split label for an id outside the dataset.
+    Unresolved ids raise with the offending ids listed.
 
     Scoring is one pass over the records. Each distinct string is
     normalized once; the ids are only cross-checked in full when their
-    counts disagree or a lookup misses.
+    counts disagree, as a repeated gold id always makes them, or a lookup
+    misses.
     """
     labels = assignment.labels
     if not len(preds) == len(labels) == len(manifest):

@@ -8,7 +8,7 @@ Two rules are provided:
   k = h/N). Small k means a compact head with a strong coverage demand;
   the minimal feasible h balances compactness against coverage.
 * legacy fixed-multiplier rule: a class is tail iff its count is at most
-  LEGACY_MULTIPLIER (1.2) times the mean class count. On near-uniform
+  LEGACY_MULTIPLIER (6/5) times the mean class count. On near-uniform
   groups every count sits below the threshold and the head degenerates to
   empty, which is the pathology the coverage-constrained rule removes.
 
@@ -16,6 +16,9 @@ Both rules flag a group as balanced when its normalized entropy is at
 least balance.BALANCED_ENTROPY (0.9). Ties between equal counts are broken
 by ascending answer label so that identical inputs always yield identical
 splits.
+
+write_split writes a split as indented JSON; load_split reads one back
+only if rebuilding the split from its dataset gives the same text.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
@@ -30,7 +34,10 @@ from .balance import BALANCED_ENTROPY, AnswerDistribution, normalized_entropy
 from .records import DatasetManifest, GroupKey
 
 MODES = ("conformal", "legacy")
-LEGACY_MULTIPLIER = 1.2
+LEGACY_MULTIPLIER = Fraction(6, 5)
+
+# the split file's JSON format, shared by write_split and load_split
+_ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
 
 
 @dataclass
@@ -132,12 +139,13 @@ def conformal_split(key: GroupKey, dist: AnswerDistribution) -> SplitSolution:
 def legacy_split(key: GroupKey, dist: AnswerDistribution) -> SplitSolution:
     """Fixed-multiplier rule: tail iff count <= LEGACY_MULTIPLIER × mean count.
 
-    Coverage is reported but not constrained; on equal-count groups the
-    head comes out empty. Ranked labels are count-descending, so the head
-    is a prefix of them.
+    The threshold is exact, so a count at exactly 6/5 of the mean, such as
+    14 in (14, 11, 10), is tail. Coverage is reported but not constrained;
+    on equal-count groups the head comes out empty. Ranked labels are
+    count-descending, so the head is a prefix of them.
     """
     ranked = _ranked_nonempty(key, dist)
-    threshold = LEGACY_MULTIPLIER * (dist.total / len(ranked))
+    threshold = LEGACY_MULTIPLIER * Fraction(dist.total, len(ranked))
     head_size = sum(1 for a in ranked if dist.counts[a] > threshold)
     return _solution(key, "legacy", dist, ranked, head_size)
 
@@ -243,111 +251,33 @@ def distribution_report(
 def write_split(assignment: SplitAssignment, path: str | Path) -> None:
     """Write the split as indented JSON, streamed to the file chunk by chunk."""
     with open(path, "w", encoding="utf-8") as out:
-        json.dump(assignment.to_dict(), out, indent=2, ensure_ascii=False)
+        out.writelines(_ENCODER.iterencode(assignment.to_dict()))
         out.write("\n")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def load_split(path: str | Path, manifest: DatasetManifest) -> SplitAssignment:
+    """Read back the split that write_split wrote for this manifest.
 
+    A split is a pure function of the dataset and the mode, so the file is
+    checked by rebuilding it: it must match, line by line, what write_split
+    writes for build_assignment(manifest, SplitConfig(mode)) for a mode in
+    MODES, whose assignment is returned. Otherwise a ValueError names the
+    first line that differs from the mode matching more leading lines, with
+    both lines cut to 80 characters.
 
-def _is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
-
-
-# each key of a split file's group object: (what it must be, its test)
-_GROUP_FIELDS = {
-    "task": ("a string", lambda v: isinstance(v, str)),
-    "question_type": ("a string", lambda v: isinstance(v, str)),
-    "mode": ("a string", lambda v: isinstance(v, str)),
-    "k": ("a number", _is_number),
-    "head_size": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "coverage": ("a number", _is_number),
-    "normalized_entropy": ("a number", _is_number),
-    "balanced": ("a boolean", lambda v: isinstance(v, bool)),
-    "head_answers": ("a list of strings", _is_string_list),
-    "tail_answers": ("a list of strings", _is_string_list),
-}
-
-
-def _check_group_values(i: int, g: dict) -> None:
-    """Reject group i of a split file if write_split cannot have written it.
-
-    The group's types are already checked. Its numbers must be finite and
-    non-negative, its coverage at most 1, its head_size the length of
-    head_answers and its k head_size over the number of answers, and no
-    answer may appear twice in its two lists. normalized_entropy has no
-    upper bound: rounding can put it a few ulp above 1.
+    The match is exact, CRLF aside: a re-serialized file is rejected, and
+    so is a float whose last bit differs under another libm's log2. Lines
+    break at LF alone, so a U+2028 in an answer keeps its line number.
     """
-
-    def reject(key: str, reason: str):
-        raise ValueError(f"split file: groups[{i}] key {key!r} {reason}")
-
-    for key in ("k", "head_size", "coverage", "normalized_entropy"):
-        value = g[key]
-        if not (isinstance(value, int) or math.isfinite(value)) or value < 0:
-            reject(key, "must be finite and non-negative")
-    if g["coverage"] > 1:
-        reject("coverage", "must be at most 1")
-    head, tail = g["head_answers"], g["tail_answers"]
-    if g["head_size"] != len(head):
-        reject("head_size", "must be the length of 'head_answers'")
-    if not (head or tail) or g["k"] != g["head_size"] / (len(head) + len(tail)):
-        reject("k", "must be head_size over the number of answers")
-    seen: set[str] = set()
-    for key in ("head_answers", "tail_answers"):
-        for answer in g[key]:
-            if answer in seen:
-                reject(key, f"repeats the answer {answer!r}")
-            seen.add(answer)
-
-
-def load_split(path: str | Path) -> SplitAssignment:
-    """Read a split file written by write_split.
-
-    A file that is not a JSON object holding a 'groups' array of complete
-    group objects and an 'assignments' object of 'head'/'tail' labels, or
-    whose group holds a value of the wrong JSON type or one write_split
-    cannot have written (see _check_group_values), is rejected with a
-    ValueError naming the key.
-    """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError("split file must be a JSON object")
-    for key, kind, name in (("groups", list, "array"), ("assignments", dict, "object")):
-        if key not in doc:
-            raise ValueError(f"split file: missing key {key!r}")
-        if not isinstance(doc[key], kind):
-            raise ValueError(f"split file: key {key!r} must be a JSON {name}")
-    solutions = []
-    for i, g in enumerate(doc["groups"]):
-        if not isinstance(g, dict):
-            raise ValueError(f"split file: groups[{i}] must be a JSON object")
-        for key, (kind, valid) in _GROUP_FIELDS.items():
-            if key not in g:
-                raise ValueError(f"split file: groups[{i}] is missing key {key!r}")
-            if not valid(g[key]):
-                raise ValueError(f"split file: groups[{i}] key {key!r} must be {kind}")
-        _check_group_values(i, g)
-        sol = SplitSolution(
-            key=GroupKey(g["task"], g["question_type"]),
-            mode=g["mode"],
-            k=g["k"],
-            head_size=g["head_size"],
-            head_answers=tuple(g["head_answers"]),
-            tail_answers=tuple(g["tail_answers"]),
-            coverage=g["coverage"],
-            normalized_entropy=g["normalized_entropy"],
-            balanced=g["balanced"],
-        )
-        if sol.mode not in MODES:
-            raise ValueError(
-                f"group ({sol.key.task}, {sol.key.question_type}): unknown split mode "
-                f"{sol.mode!r}; expected one of {MODES}"
-            )
-        solutions.append(sol)
-    labels = doc["assignments"]
-    for rid, label in labels.items():
-        if label not in ("head", "tail"):
-            raise ValueError(f"assignment for {rid!r} must be 'head' or 'tail'")
-    return SplitAssignment(labels=labels, solutions=solutions)
+    found = Path(path).read_text(encoding="utf-8").split("\n")
+    mismatches = []
+    for mode in MODES:
+        assignment = build_assignment(manifest, SplitConfig(mode))
+        expected = (_ENCODER.encode(assignment.to_dict()) + "\n").split("\n")
+        if found == expected:
+            return assignment
+        same = [a == b for a, b in zip(found, expected)] + [False]
+        mismatches.append((same.index(False), expected))
+    i, expected = max(mismatches, key=lambda m: m[0])  # the first mode on a tie
+    shown = [repr(text[i][:80]) if i < len(text) else "end of file" for text in (found, expected)]
+    raise ValueError(f"split file: line {i + 1} is {shown[0]}, expected {shown[1]}")

@@ -92,15 +92,15 @@ class TestAccuracyReport:
     def test_overall_three_of_four(self):
         manifest, assignment, preds = fixture_manifest_and_preds()
         report = accuracy_report(manifest, assignment, preds)
-        assert report.pooled().accuracy == 0.75
+        assert report.rollup().accuracy == 0.75
 
     def test_head_tail_decomposition(self):
         manifest, assignment, preds = fixture_manifest_and_preds()
         report = accuracy_report(manifest, assignment, preds)
-        assert report.pooled("head").accuracy == 1.0
-        assert report.pooled("tail").accuracy == 0.5
-        head, tail = report.pooled("head"), report.pooled("tail")
-        pooled = report.pooled()
+        assert report.rollup(part="head").accuracy == 1.0
+        assert report.rollup(part="tail").accuracy == 0.5
+        head, tail = report.rollup(part="head"), report.rollup(part="tail")
+        pooled = report.rollup()
         assert pooled.correct == head.correct + tail.correct
         assert pooled.count == head.count + tail.count
 
@@ -128,12 +128,25 @@ class TestAccuracyReport:
         with pytest.raises(ValueError, match="ghost"):
             accuracy_report(manifest, assignment, preds)
 
+    def test_repeated_gold_id_is_an_error(self):
+        # six distinct ids, q1 passed twice: scoring it would count 7
+        records = [
+            QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="x")
+            for i in (0, 1, 1, 2, 3, 4, 5)
+        ]
+        manifest = DatasetManifest(records)
+        assignment = build_assignment(manifest, SplitConfig())
+        preds = {f"q{i}": "x" for i in range(6)}
+        with pytest.raises(ValueError) as info:
+            accuracy_report(manifest, assignment, preds)
+        assert str(info.value) == "dataset repeats the id 'q1'"
+
     def test_empty_tail_cell_absent(self):
         manifest = make_manifest([("x1", "avqa", "Existential", "yes")])
         assignment = build_assignment(manifest, SplitConfig(mode="conformal"))
         report = accuracy_report(manifest, assignment, {"x1": "yes"})
         assert ("avqa", "Existential", "tail") not in report.cells
-        assert report.pooled("tail") is None
+        assert report.rollup(part="tail") is None
         assert report.to_dict()["pooled"]["tail"] is None
 
     def test_cells_sorted_deterministically(self):
@@ -191,9 +204,18 @@ def test_accuracy_cells_match_a_per_record_reference(pipeline):
     manifest, assignment, preds = pipeline
     report = accuracy_report(manifest, assignment, preds)
     assert list(report.cells) == sorted(report.cells)
-    assert {key: (s.count, s.correct) for key, s in report.cells.items()} == reference_cells(
-        manifest, assignment, preds
-    )
+    cells = reference_cells(manifest, assignment, preds)
+    assert {key: (s.count, s.correct) for key, s in report.cells.items()} == cells
+    for task in (None, "audio", "visual", "avqa"):
+        for part in (None, "head", "tail"):
+            merged = [
+                c for (t, _, p), c in cells.items() if task in (None, t) and part in (None, p)
+            ]
+            stats = report.rollup(task, part)
+            if merged:
+                assert (stats.count, stats.correct) == tuple(map(sum, zip(*merged)))
+            else:
+                assert stats is None
 
 
 @given(scored_pipelines(), st.data())
@@ -222,7 +244,7 @@ def test_parsed_files_that_pair_exactly_score_every_record(write_jsonl, tmp_path
     ppath = tmp_path / "p.jsonl"
     ppath.write_text('{"id": "q1", "prediction": "one"}\n{"id": "q2", "prediction": "y"}\n')
     assignment = build_assignment(manifest, SplitConfig())
-    pooled = accuracy_report(manifest, assignment, parse_predictions(ppath)).pooled()
+    pooled = accuracy_report(manifest, assignment, parse_predictions(ppath)).rollup()
     assert (pooled.correct, pooled.count) == (1, 2)
 
 

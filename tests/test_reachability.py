@@ -18,7 +18,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "avqabench"
 
 # qualified name -> why it stays public though nothing here calls it
-ENTRY_POINTS = {"split.load_split": "reads the file write_split writes"}
+ENTRY_POINTS = {
+    "split.load_split": "checks a split file against the dataset it was built from",
+}
 
 
 def _public_definitions():

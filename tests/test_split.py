@@ -1,4 +1,4 @@
-"""Head/tail split rules: coverage-constrained and legacy multiplier."""
+"""Head/tail split rules (coverage-constrained and legacy multiplier) and split files."""
 
 import json
 import math
@@ -11,11 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from avqabench.balance import AnswerDistribution, normalized_entropy
-from avqabench.records import DatasetManifest, GroupKey, QARecord, parse_dataset
+from avqabench.balance import AnswerDistribution
+from avqabench.records import DatasetManifest, GroupKey, QARecord
 from avqabench.split import (
     MODES,
-    SplitAssignment,
     SplitConfig,
     build_assignment,
     conformal_split,
@@ -25,7 +24,6 @@ from avqabench.split import (
     total_variation,
     write_split,
 )
-from conftest import qa_row
 
 KEY = GroupKey("avqa", "Counting")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -53,6 +51,19 @@ count_maps = st.dictionaries(
     min_size=1,
     max_size=50,
 )
+
+
+@st.composite
+def at_threshold_count_maps(draw):
+    """Counts where "at" is exactly 6/5 of the mean: 6q, with the other
+    n - 1 counts summing to q(5n - 6), so 5 * 6q * n == 6 * total."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    q = draw(st.integers(min_value=1, max_value=50))
+    rest = q * (5 * n - 6)
+    cuts = draw(st.lists(st.integers(1, rest - 1), min_size=n - 2, max_size=n - 2, unique=True))
+    cuts.sort()
+    others = [b - a for a, b in zip([0, *cuts], [*cuts, rest])]
+    return {"at": 6 * q, **{f"o{i}": c for i, c in enumerate(others)}}
 
 
 class TestConformal:
@@ -121,6 +132,19 @@ class TestLegacy:
         sol = legacy_split(KEY, AnswerDistribution({"x": 100}))
         assert sol.head_answers == ()
         assert sol.tail_answers == ("x",)
+
+    def test_count_at_exactly_six_fifths_of_the_mean_is_tail(self):
+        # threshold 6/5 * 35/3 = 14 exactly; in floats 1.2 * (35 / 3) < 14
+        sol = legacy_split(KEY, AnswerDistribution({"a": 14, "b": 11, "c": 10}))
+        assert sol.head_answers == ()
+        assert sol.tail_answers == ("a", "b", "c")
+
+    @settings(max_examples=200)
+    @given(counts=count_maps | at_threshold_count_maps())
+    def test_matches_exact_oracle(self, counts):
+        n, total = len(counts), sum(counts.values())
+        sol = legacy_split(KEY, AnswerDistribution(counts))
+        assert set(sol.head_answers) == {a for a, c in counts.items() if 5 * c * n > 6 * total}
 
     @given(
         count=st.integers(min_value=1, max_value=10_000),
@@ -191,16 +215,6 @@ class TestAssignment:
             expected = "head" if rec.answer in head_set else "tail"
             assert assignment.labels[rec.id] == expected
 
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("answers", [{"x": 7, "y": 2, "z": 1}, {"ünï": 3, "e\u2028f": 1}, {"x": 4}])
-    def test_split_file_round_trip(self, mode, answers, tmp_path):
-        assignment = build_assignment(_manifest_from_counts(answers), SplitConfig(mode=mode))
-        path = tmp_path / "split.json"
-        write_split(assignment, path)
-        loaded = load_split(path)
-        assert loaded.labels == assignment.labels
-        assert loaded.solutions == assignment.solutions
-
     def test_byte_identical_split_files(self, tmp_path):
         manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -217,124 +231,223 @@ class TestAssignment:
         expected = json.dumps(assignment.to_dict(), indent=2, ensure_ascii=False) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
 
-    @pytest.mark.parametrize(
-        "doc, message",
+
+def _replaced(line, doc):
+    return pytest.param(lambda _: doc, line, id=json.dumps(doc))
+
+
+def _without(line, key):
+    def edit(doc):
+        del doc["groups"][0][key]
+        return doc
+
+    return pytest.param(edit, line, id=f"without {key}")
+
+
+def _with(line, **changes):
+    def edit(doc):
+        doc["groups"][0].update(changes)
+        return doc
+
+    return pytest.param(edit, line, id=", ".join(f"{k}={v!r}" for k, v in changes.items()))
+
+
+# edits of the conformal split file of {"x": 7, "y": 2, "z": 1}, and the
+# line each first changes: 4-11 hold task ... balanced, 12 head_answers,
+# 15 tail_answers and 16-17 its answers "y" and "z"
+MALFORMED = [
+    _replaced(1, []),
+    _replaced(2, {"assignments": {}}),
+    _replaced(2, {"groups": []}),
+    _replaced(2, {"groups": {}, "assignments": {}}),
+    _replaced(2, {"groups": [], "assignments": []}),
+    _replaced(2, {"groups": [], "assignments": [["q0", "head"]]}),
+    _replaced(3, {"groups": ["x"], "assignments": {}}),
+    _without(4, "task"),
+    _without(6, "mode"),
+    _without(7, "k"),
+    _without(12, "head_answers"),
+    _without(11, "balanced"),
+    _with(4, task=3),
+    _with(5, question_type=None),
+    _with(6, mode=["conformal"]),
+    _with(6, mode="median"),
+    _with(7, k="half"),
+    _with(7, k=True),
+    _with(8, head_size=1.0),
+    _with(8, head_size=False),
+    _with(9, coverage=None),
+    _with(10, normalized_entropy="0.5"),
+    _with(11, balanced="no"),
+    _with(11, balanced=1),
+    _with(12, head_answers=3),
+    _with(12, head_answers="x"),
+    _with(17, tail_answers=["y", 2]),
+    _with(
+        7, k=math.nan, head_size=-3, coverage=7.5, normalized_entropy=math.inf,
+        head_answers=["two"], tail_answers=["two"],
+    ),
+    _with(7, k=-0.5),
+    _with(8, head_size=-1),
+    _with(9, coverage=math.inf),
+    _with(10, normalized_entropy=-math.inf),
+    _with(10, normalized_entropy=-1e-9),
+    _with(9, coverage=1.0000000000000002),
+    _with(8, head_size=2),
+    _with(7, k=0.5),
+    _with(7, k=0.0, head_size=0, head_answers=[], tail_answers=[]),
+    _with(7, k=0.5, head_size=2, head_answers=["x", "x"]),
+    _with(17, tail_answers=["y", "y"]),
+    _with(16, tail_answers=["z", "x"]),
+]
+
+GROUP_KEYS = [("audio", "Counting"), ("visual", "Location"), ("avqa", "Zählen")]
+FILE_ANSWERS = ["x", "y", "z", "ünï", "e\u2028f"]
+
+
+@st.composite
+def multi_group_manifests(draw, min_groups=0):
+    """Records of up to three groups, ids q0.. in a drawn order."""
+    counts = draw(
+        st.dictionaries(
+            st.sampled_from(GROUP_KEYS),
+            st.dictionaries(st.sampled_from(FILE_ANSWERS), st.integers(1, 6), min_size=1),
+            min_size=min_groups,
+        )
+    )
+    rows = [(key, a) for key, group in counts.items() for a, c in group.items() for _ in range(c)]
+    rows = draw(st.permutations(rows))
+    return DatasetManifest(
         [
-            ([], "split file must be a JSON object"),
-            ({"assignments": {}}, "split file: missing key 'groups'"),
-            ({"groups": []}, "split file: missing key 'assignments'"),
-            ({"groups": {}, "assignments": {}}, "split file: key 'groups' must be a JSON array"),
-            ({"groups": [], "assignments": []}, "split file: key 'assignments' must be a JSON object"),
+            QARecord(id=f"q{i}", task=task, question_type=qtype, question="?", answer=answer)
+            for i, ((task, qtype), answer) in enumerate(rows)
+        ]
+    )
+
+
+def _written(manifest, mode, path):
+    assignment = build_assignment(manifest, SplitConfig(mode=mode))
+    write_split(assignment, path)
+    return assignment
+
+
+def _message(found, expected, line):
+    """load_split's error for a first difference at 1-based line `line`."""
+    found, expected = found.split("\n")[line - 1], expected.split("\n")[line - 1]
+    return f"split file: line {line} is {found[:80]!r}, expected {expected[:80]!r}"
+
+
+class TestSplitFile:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "answers", [{"x": 7, "y": 2, "z": 1}, {"ünï": 3, "e\u2028f": 1}, {"x": 4}]
+    )
+    def test_round_trip(self, mode, answers, tmp_path):
+        manifest = _manifest_from_counts(answers)
+        assignment = _written(manifest, mode, tmp_path / "split.json")
+        loaded = load_split(tmp_path / "split.json", manifest)
+        assert loaded.labels == assignment.labels
+        assert loaded.solutions == assignment.solutions
+        assert {sol.mode for sol in loaded.solutions} == {mode}
+
+    @settings(max_examples=60)
+    @given(manifest=multi_group_manifests(), mode=st.sampled_from(MODES))
+    # two classes of 11: normalized entropy 1.0000000000000004
+    @example(manifest=_manifest_from_counts({"a": 11, "b": 11}), mode="conformal")
+    def test_every_written_split_loads_with_its_manifest(self, manifest, mode, tmp_path_factory):
+        path = tmp_path_factory.mktemp("split") / "split.json"
+        assignment = _written(manifest, mode, path)
+        loaded = load_split(path, manifest)
+        assert loaded.labels == assignment.labels
+        assert loaded.solutions == assignment.solutions
+
+    def test_crlf_line_ends_load(self, tmp_path):
+        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
+        path = tmp_path / "split.json"
+        assignment = _written(manifest, "legacy", path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_split(path, manifest).solutions == assignment.solutions
+
+    @pytest.mark.parametrize("edit, line", MALFORMED)
+    def test_malformed_split_file_is_rejected_naming_the_line(self, edit, line, tmp_path):
+        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
+        path = tmp_path / "split.json"
+        _written(manifest, "conformal", path)
+        written = path.read_text(encoding="utf-8")
+        found = json.dumps(edit(json.loads(written)), indent=2, ensure_ascii=False) + "\n"
+        path.write_text(found, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_split(path, manifest)
+        assert str(info.value) == _message(found, written, line)
+
+    @settings(max_examples=60)
+    @given(
+        manifest=multi_group_manifests(min_groups=1), mode=st.sampled_from(MODES), data=st.data()
+    )
+    def test_a_flipped_label_is_rejected_naming_its_line(
+        self, manifest, mode, data, tmp_path_factory
+    ):
+        path = tmp_path_factory.mktemp("split") / "split.json"
+        labels = _written(manifest, mode, path).labels
+        written = path.read_text(encoding="utf-8")
+        lines = written.split("\n")
+        rid = data.draw(st.sampled_from(sorted(labels)))
+        i = next(i for i, text in enumerate(lines) if text.startswith(f'    "{rid}": '))
+        flipped = "tail" if labels[rid] == "head" else "head"
+        lines[i] = lines[i].replace(f'"{labels[rid]}"', f'"{flipped}"')
+        found = "\n".join(lines)
+        path.write_text(found, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_split(path, manifest)
+        assert str(info.value) == _message(found, written, i + 1)
+
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            # same answer counts, so the same groups; q0 and q9 swap answers
             (
-                {"groups": [], "assignments": [["q0", "head"]]},
-                "split file: key 'assignments' must be a JSON object",
+                ["z"] + ["x"] * 6 + ["y", "y", "x"],
+                """split file: line 22 is '    "q0": "head",', expected '    "q0": "tail",'""",
             ),
-            ({"groups": ["x"], "assignments": {}}, "split file: groups[0] must be a JSON object"),
+            # one more "z": the group's solution differs from its k on
+            (
+                ["x"] * 7 + ["y", "y", "z", "z"],
+                "split file: line 7 is '      \"k\": 0.3333333333333333,', "
+                "expected '      \"k\": 0.6666666666666666,'",
+            ),
         ],
     )
-    def test_malformed_split_file_names_the_key(self, doc, message, tmp_path):
+    def test_a_split_of_another_dataset_is_rejected_naming_the_line(self, other, message, tmp_path):
         path = tmp_path / "split.json"
-        path.write_text(json.dumps(doc))
+        _written(_manifest_from_counts({"x": 7, "y": 2, "z": 1}), "conformal", path)
+        records = [
+            QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer=a)
+            for i, a in enumerate(other)
+        ]
         with pytest.raises(ValueError) as info:
-            load_split(path)
+            load_split(path, DatasetManifest(records))
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("key", ["task", "mode", "k", "head_answers", "balanced"])
-    def test_group_without_a_key_names_it(self, key, tmp_path):
+    def test_a_cut_file_is_rejected_at_its_end(self, tmp_path):
         manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
         path = tmp_path / "split.json"
-        write_split(build_assignment(manifest, SplitConfig()), path)
-        doc = json.loads(path.read_text())
-        del doc["groups"][0][key]
-        path.write_text(json.dumps(doc))
+        _written(manifest, "conformal", path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        path.write_text("\n".join(lines[:9]), encoding="utf-8")
         with pytest.raises(ValueError) as info:
-            load_split(path)
-        assert str(info.value) == f"split file: groups[0] is missing key {key!r}"
+            load_split(path, manifest)
+        assert str(info.value) == f"split file: line 10 is end of file, expected {lines[9]!r}"
 
-    @pytest.mark.parametrize(
-        "key, value, kind",
-        [
-            ("task", 3, "a string"),
-            ("question_type", None, "a string"),
-            ("mode", ["conformal"], "a string"),
-            ("k", "half", "a number"),
-            ("k", True, "a number"),
-            ("head_size", 1.0, "an integer"),
-            ("head_size", False, "an integer"),
-            ("coverage", None, "a number"),
-            ("normalized_entropy", "0.5", "a number"),
-            ("balanced", "no", "a boolean"),
-            ("balanced", 1, "a boolean"),
-            ("head_answers", 3, "a list of strings"),
-            ("head_answers", "x", "a list of strings"),
-            ("tail_answers", ["y", 2], "a list of strings"),
-        ],
-    )
-    def test_group_value_of_the_wrong_type_names_the_key(self, key, value, kind, tmp_path):
-        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
+    def test_a_long_line_is_cut_to_80_characters(self, tmp_path):
+        manifest = _manifest_from_counts({"a" * 100: 3, "b": 1})
         path = tmp_path / "split.json"
-        write_split(build_assignment(manifest, SplitConfig()), path)
-        doc = json.loads(path.read_text())
-        doc["groups"][0][key] = value
-        path.write_text(json.dumps(doc))
+        _written(manifest, "conformal", path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("a" * 100, "c" + "a" * 99), encoding="utf-8")
         with pytest.raises(ValueError) as info:
-            load_split(path)
-        assert str(info.value) == f"split file: groups[0] key {key!r} must be {kind}"
-
-    @pytest.mark.parametrize(
-        "changes, key, reason",
-        [
-            (
-                {"k": math.nan, "head_size": -3, "coverage": 7.5,
-                 "normalized_entropy": math.inf, "head_answers": ["two"], "tail_answers": ["two"]},
-                "k", "must be finite and non-negative",
-            ),
-            ({"k": -0.5}, "k", "must be finite and non-negative"),
-            ({"head_size": -1}, "head_size", "must be finite and non-negative"),
-            ({"coverage": math.inf}, "coverage", "must be finite and non-negative"),
-            ({"normalized_entropy": -math.inf}, "normalized_entropy", "must be finite and non-negative"),
-            ({"normalized_entropy": -1e-9}, "normalized_entropy", "must be finite and non-negative"),
-            ({"coverage": 1.0000000000000002}, "coverage", "must be at most 1"),
-            ({"head_size": 2}, "head_size", "must be the length of 'head_answers'"),
-            ({"k": 0.5}, "k", "must be head_size over the number of answers"),
-            ({"k": 0.0, "head_size": 0, "head_answers": [], "tail_answers": []},
-             "k", "must be head_size over the number of answers"),
-            ({"k": 0.5, "head_size": 2, "head_answers": ["x", "x"]},
-             "head_answers", "repeats the answer 'x'"),
-            ({"tail_answers": ["y", "y"]}, "tail_answers", "repeats the answer 'y'"),
-            ({"tail_answers": ["z", "x"]}, "tail_answers", "repeats the answer 'x'"),
-        ],
-    )
-    def test_group_value_write_split_cannot_write_names_the_key(self, changes, key, reason, tmp_path):
-        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
-        path = tmp_path / "split.json"
-        write_split(build_assignment(manifest, SplitConfig()), path)
-        doc = json.loads(path.read_text())
-        doc["groups"][0].update(changes)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError) as info:
-            load_split(path)
-        assert str(info.value) == f"split file: groups[0] key {key!r} {reason}"
-
-    @given(counts=count_maps, mode=st.sampled_from(MODES))
-    # two classes of 11: normalized entropy 1.0000000000000004
-    @example(counts={"a": 11, "b": 11}, mode="conformal")
-    def test_every_written_group_loads(self, counts, mode, tmp_path_factory):
-        rule = conformal_split if mode == "conformal" else legacy_split
-        assignment = SplitAssignment(solutions=[rule(KEY, AnswerDistribution(counts))])
-        path = tmp_path_factory.mktemp("split") / "split.json"
-        write_split(assignment, path)
-        assert load_split(path).solutions == assignment.solutions
-
-    def test_unknown_mode_in_split_file_rejected(self, tmp_path):
-        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
-        path = tmp_path / "split.json"
-        write_split(build_assignment(manifest, SplitConfig()), path)
-        doc = json.loads(path.read_text())
-        doc["groups"][0]["mode"] = "median"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"\(avqa, Counting\).*'median'"):
-            load_split(path)
+            load_split(path, manifest)
+        found, expected = " " * 8 + '"c' + "a" * 70, " " * 8 + '"' + "a" * 71
+        assert str(info.value) == f"split file: line 13 is {found!r}, expected {expected!r}"
 
 
 class TestDistributionReport:

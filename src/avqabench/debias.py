@@ -73,14 +73,6 @@ class LossBreakdown:
         # bookkeeping identity: total is the float sum of the parts
         self.total = self.answer + self.discrepancy + self.cycle
 
-    def to_dict(self) -> dict:
-        return {
-            "answer": self.answer,
-            "discrepancy": self.discrepancy,
-            "cycle": self.cycle,
-            "total": self.total,
-        }
-
 
 def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfig):
     """Per-sample loss terms and their logit gradients for a stacked batch.

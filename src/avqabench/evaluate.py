@@ -218,8 +218,9 @@ def uniform_sample(
 
     Strata are (task, question_type, head/tail) cells. Per-cell targets
     come from largest-remainder rounding of ratio * cell size against a
-    house size of round(ratio * total), so each cell is within one record
-    of its exact quota. Selection within a cell is a seeded shuffle; the
+    house size of ratio * total rounded half up (0.5 of 5 records keeps 3,
+    where round(2.5) is 2), so each cell is within one record of its exact
+    quota. Selection within a cell is a seeded shuffle; the
     output keeps the original record order.
     """
     if not 0.0 < ratio <= 1.0:

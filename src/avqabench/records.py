@@ -80,7 +80,7 @@ class DatasetError(ValueError):
 
 
 class GroupKey(NamedTuple):
-    """Grouping key for balance and split operations.
+    """Key of a (task, question_type) group, the unit of the head/tail split.
 
     A tuple, so the plain pair (task, question_type) finds it in a dict.
     """

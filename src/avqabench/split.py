@@ -12,10 +12,15 @@ Two rules are provided:
   groups every count sits below the threshold and the head degenerates to
   empty, which is the pathology the coverage-constrained rule removes.
 
-Both rules flag a group as balanced when its normalized entropy is at
-least balance.BALANCED_ENTROPY (0.9). Ties between equal counts are broken
-by ascending answer label so that identical inputs always yield identical
-splits.
+Both rules take a group's answer counts as a plain mapping from answer to
+count, and flag the group as balanced when its normalized entropy is at
+least BALANCED_ENTROPY (0.9). Normalized entropy is the ratio of the
+Shannon entropy to that of a uniform distribution over the same number of
+answer classes. It lies in [0, 1] up to rounding, which can put a uniform
+distribution a few ulp above 1 (1.0000000000000004 for two classes of 11
+each), and does not depend on the logarithm base. Ties between equal
+counts are broken by ascending answer label so that identical inputs
+always yield identical splits.
 
 write_split writes a split as indented JSON; load_split reads one back
 only if rebuilding the split from its dataset gives the same text.
@@ -25,16 +30,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .balance import BALANCED_ENTROPY, AnswerDistribution, normalized_entropy
 from .records import DatasetManifest, GroupKey
 
 MODES = ("conformal", "legacy")
 LEGACY_MULTIPLIER = Fraction(6, 5)
+BALANCED_ENTROPY = 0.9
 
 # the split file's JSON format, shared by write_split and load_split
 _ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
@@ -87,20 +93,63 @@ class SplitAssignment:
         }
 
 
-def _ranked_nonempty(key: GroupKey, dist: AnswerDistribution) -> list[str]:
+def _nonzero(counts: Mapping[str, int]) -> dict[str, int]:
+    """The classes of nonzero count, once every count is checked."""
+    for label, count in counts.items():
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(f"count for {label!r} must be a non-negative integer, got {count!r}")
+    return {a: c for a, c in counts.items() if c > 0}
+
+
+def entropy(counts: Mapping[str, int]) -> float:
+    """Shannon entropy of the answer distribution, in bits.
+
+    Computed as log2(T) - sum(c * log2(c)) / T over nonzero counts, which
+    is algebraically -sum(p * log2(p)) but exact for uniform unit counts.
+    Zero-count classes contribute nothing. Raises ValueError on an empty
+    distribution.
+    """
+    nonzero = _nonzero(counts)
+    t = sum(nonzero.values())
+    if t == 0:
+        raise ValueError("entropy of an empty distribution is undefined")
+    if len(nonzero) == 1:
+        return 0.0
+    weighted = math.fsum(c * math.log2(c) for c in nonzero.values())
+    return math.log2(t) - weighted / t
+
+
+def normalized_entropy(counts: Mapping[str, int]) -> float:
+    """Entropy divided by log2 of the class count, in [0, 1] up to a few ulp.
+
+    Rounding can put a uniform distribution just above 1, and the value
+    is returned as computed, not clamped.
+
+    A single-class distribution is maximally concentrated, so the
+    degenerate N=1 case (where log2 N = 0) is defined as 0.
+    """
+    n = len(_nonzero(counts))
+    if n == 0:
+        raise ValueError("normalized entropy of an empty distribution is undefined")
+    if n == 1:
+        return 0.0
+    return entropy(counts) / math.log2(n)
+
+
+def _ranked_nonempty(key: GroupKey, counts: Mapping[str, int]) -> list[str]:
     """Labels of nonzero count, by count descending, ties by ascending label."""
-    if dist.total == 0:
+    nonzero = _nonzero(counts)
+    if not nonzero:
         raise ValueError(f"group {key} is empty")
-    counts = dist.counts
-    return sorted((a for a, c in counts.items() if c > 0), key=lambda a: (-counts[a], a))
+    return sorted(nonzero, key=lambda a: (-nonzero[a], a))
 
 
 def _solution(
-    key: GroupKey, mode: str, dist: AnswerDistribution, ranked: list[str], head_size: int
+    key: GroupKey, mode: str, counts: Mapping[str, int], ranked: list[str], head_size: int
 ) -> SplitSolution:
     """The split whose head is the first head_size ranked labels."""
     head = tuple(ranked[:head_size])
-    h_norm = normalized_entropy(dist)
+    h_norm = normalized_entropy(counts)
     return SplitSolution(
         key=key,
         mode=mode,
@@ -108,13 +157,13 @@ def _solution(
         head_size=head_size,
         head_answers=head,
         tail_answers=tuple(ranked[head_size:]),
-        coverage=sum(dist.counts[a] for a in head) / dist.total,
+        coverage=sum(counts[a] for a in head) / sum(counts.values()),
         normalized_entropy=h_norm,
         balanced=h_norm >= BALANCED_ENTROPY,
     )
 
 
-def conformal_split(key: GroupKey, dist: AnswerDistribution) -> SplitSolution:
+def conformal_split(key: GroupKey, counts: Mapping[str, int]) -> SplitSolution:
     """Minimal head set meeting the coverage constraint.
 
     Scans h = 1..N over the ranked labels and returns the first h whose
@@ -123,20 +172,20 @@ def conformal_split(key: GroupKey, dist: AnswerDistribution) -> SplitSolution:
     boundary cases such as 4/6 vs 1 - 1/3 resolve exactly. h = N always
     satisfies the constraint, so a solution exists for any non-empty group.
     """
-    ranked = _ranked_nonempty(key, dist)
-    total = dist.total
+    ranked = _ranked_nonempty(key, counts)
+    total = sum(counts.values())
     n = len(ranked)
     cum = 0
     head_size = n
     for h, label in enumerate(ranked, start=1):
-        cum += dist.counts[label]
+        cum += counts[label]
         if cum * n >= total * (n - h):
             head_size = h
             break
-    return _solution(key, "conformal", dist, ranked, head_size)
+    return _solution(key, "conformal", counts, ranked, head_size)
 
 
-def legacy_split(key: GroupKey, dist: AnswerDistribution) -> SplitSolution:
+def legacy_split(key: GroupKey, counts: Mapping[str, int]) -> SplitSolution:
     """Fixed-multiplier rule: tail iff count <= LEGACY_MULTIPLIER × mean count.
 
     The threshold is exact, so a count at exactly 6/5 of the mean, such as
@@ -144,10 +193,10 @@ def legacy_split(key: GroupKey, dist: AnswerDistribution) -> SplitSolution:
     on equal-count groups the head comes out empty. Ranked labels are
     count-descending, so the head is a prefix of them.
     """
-    ranked = _ranked_nonempty(key, dist)
-    threshold = LEGACY_MULTIPLIER * Fraction(dist.total, len(ranked))
-    head_size = sum(1 for a in ranked if dist.counts[a] > threshold)
-    return _solution(key, "legacy", dist, ranked, head_size)
+    ranked = _ranked_nonempty(key, counts)
+    threshold = LEGACY_MULTIPLIER * Fraction(sum(counts.values()), len(ranked))
+    head_size = sum(1 for a in ranked if counts[a] > threshold)
+    return _solution(key, "legacy", counts, ranked, head_size)
 
 
 def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAssignment:
@@ -156,7 +205,8 @@ def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAss
     Groups are split in sorted group-key order. Balanced groups
     (normalized entropy at or above BALANCED_ENTROPY) are split like any
     other but carry balanced=True in their solution. A record is head iff
-    its answer is in its group's head set.
+    its answer is in its group's head set. A repeated record id is an
+    error.
     """
     if config.mode not in MODES:
         raise ValueError(f"unknown split mode {config.mode!r}; expected one of {MODES}")
@@ -164,13 +214,19 @@ def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAss
     solutions = []
     head_sets: dict[GroupKey, set[str]] = {}
     for key in sorted(manifest.groups):
-        sol = rule(key, AnswerDistribution.from_labels(r.answer for r in manifest.groups[key]))
+        sol = rule(key, Counter(r.answer for r in manifest.groups[key]))
         solutions.append(sol)
         head_sets[key] = set(sol.head_answers)
     labels = {
         rec.id: "head" if rec.answer in head_sets[rec.task, rec.question_type] else "tail"
         for rec in manifest.records
     }
+    if len(labels) != len(manifest):
+        seen: set[str] = set()
+        for rec in manifest.records:
+            if rec.id in seen:
+                raise ValueError(f"dataset repeats the id {rec.id!r}")
+            seen.add(rec.id)
     return SplitAssignment(labels=labels, solutions=solutions)
 
 
@@ -185,7 +241,7 @@ def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
 
 
 def _frequencies(labels: list[str]) -> dict[str, float]:
-    return AnswerDistribution.from_labels(labels).probabilities()
+    return {a: c / len(labels) for a, c in Counter(labels).items()}
 
 
 def distribution_report(

@@ -34,7 +34,7 @@ step is one in-place update of the whole vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from statistics import median
 
 import numpy as np
@@ -293,7 +293,7 @@ def run_experiment(spec: SyntheticSpec, tcfg: TrainConfig) -> dict:
         "alpha": tcfg.debias.alpha,
         "beta": tcfg.debias.beta,
         **evaluate_toy(params, head_test, tail_test),
-        "final_loss": trace[-1].to_dict(),
+        "final_loss": asdict(trace[-1]),
     }
 
 

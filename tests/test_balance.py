@@ -1,12 +1,21 @@
 """Entropy, normalized entropy, and the balance threshold."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from avqabench.balance import BALANCED_ENTROPY, AnswerDistribution, entropy, normalized_entropy
+from avqabench.records import GroupKey
+from avqabench.split import (
+    BALANCED_ENTROPY,
+    conformal_split,
+    entropy,
+    legacy_split,
+    normalized_entropy,
+)
 
+# counts are all positive, so every key is a nonzero class
 count_dicts = st.dictionaries(
     keys=st.text(alphabet="abcdefgh", min_size=1, max_size=3),
     values=st.integers(min_value=1, max_value=500),
@@ -16,113 +25,124 @@ count_dicts = st.dictionaries(
 
 
 def test_uniform_four_classes_is_two_bits():
-    assert entropy(AnswerDistribution({"a": 1, "b": 1, "c": 1, "d": 1})) == 2.0
+    assert entropy({"a": 1, "b": 1, "c": 1, "d": 1}) == 2.0
 
 
 def test_single_class_is_zero_bits():
-    assert entropy(AnswerDistribution({"a": 10})) == 0.0
+    assert entropy({"a": 10}) == 0.0
 
 
 def test_half_quarter_quarter_closed_form():
-    assert entropy(AnswerDistribution({"a": 2, "b": 1, "c": 1})) == 1.5
+    assert entropy({"a": 2, "b": 1, "c": 1}) == 1.5
 
 
 def test_zero_count_classes_contribute_nothing():
-    with_zero = AnswerDistribution({"a": 2, "b": 1, "c": 1, "d": 0})
-    without = AnswerDistribution({"a": 2, "b": 1, "c": 1})
+    with_zero = {"a": 2, "b": 1, "c": 1, "d": 0}
+    without = {"a": 2, "b": 1, "c": 1}
     assert entropy(with_zero) == entropy(without)
-    assert with_zero.num_classes == 3
+    assert normalized_entropy(with_zero) == normalized_entropy(without)
 
 
 def test_empty_distribution_rejected():
     with pytest.raises(ValueError):
-        entropy(AnswerDistribution({}))
+        entropy({})
     with pytest.raises(ValueError):
-        normalized_entropy(AnswerDistribution({"a": 0}))
+        normalized_entropy({"a": 0})
 
 
 def test_normalized_uniform_is_one():
-    dist = AnswerDistribution({str(i): 3 for i in range(8)})
-    assert normalized_entropy(dist) == pytest.approx(1.0, abs=1e-12)
+    counts = {str(i): 3 for i in range(8)}
+    assert normalized_entropy(counts) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalized_half_quarter_quarter():
     # 1.5 / log2(3), evaluated independently
     expected = 1.5 / math.log2(3)
-    assert normalized_entropy(AnswerDistribution({"a": 2, "b": 1, "c": 1})) == pytest.approx(
-        expected, abs=1e-12
-    )
+    assert normalized_entropy({"a": 2, "b": 1, "c": 1}) == pytest.approx(expected, abs=1e-12)
     assert round(expected, 5) == 0.94639
 
 
 def test_single_class_normalized_is_zero():
-    assert normalized_entropy(AnswerDistribution({"a": 7})) == 0.0
+    assert normalized_entropy({"a": 7}) == 0.0
 
 
 def test_imbalance_examples():
-    def score(counts):
-        return normalized_entropy(AnswerDistribution(counts))
+    assert normalized_entropy({"a": 9, "b": 1}) < BALANCED_ENTROPY  # ~0.469
+    assert normalized_entropy({str(i): 2 for i in range(5)}) >= BALANCED_ENTROPY
+    assert normalized_entropy({"a": 2, "b": 1, "c": 1}) >= BALANCED_ENTROPY  # ~0.946
 
-    assert score({"a": 9, "b": 1}) < BALANCED_ENTROPY  # ~0.469
-    assert score({str(i): 2 for i in range(5)}) >= BALANCED_ENTROPY
-    assert score({"a": 2, "b": 1, "c": 1}) >= BALANCED_ENTROPY  # ~0.946
+
+def _split_conformal(counts):
+    return conformal_split(GroupKey("avqa", "Counting"), counts)
+
+
+def _split_legacy(counts):
+    return legacy_split(GroupKey("avqa", "Counting"), counts)
+
+
+COUNT_FUNCTIONS = [entropy, normalized_entropy, _split_conformal, _split_legacy]
+
+
+def _assert_bad_count_rejected(bad):
+    # a bad count fails whatever the other counts are, a lone one included
+    for counts, label in (({"a": bad}, "a"), ({"a": 2, "b": bad}, "b")):
+        for count_function in COUNT_FUNCTIONS:
+            with pytest.raises(ValueError) as info:
+                count_function(counts)
+            expected = f"count for {label!r} must be a non-negative integer, got {bad!r}"
+            assert str(info.value) == expected
 
 
 def test_negative_count_rejected():
-    with pytest.raises(ValueError):
-        AnswerDistribution({"a": -1})
+    _assert_bad_count_rejected(-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, "3", None])
+def test_non_integer_count_rejected(bad):
+    _assert_bad_count_rejected(bad)
 
 
 @given(counts=count_dicts)
 def test_entropy_bounds(counts):
-    dist = AnswerDistribution(counts)
-    h = entropy(dist)
-    assert -1e-12 <= h <= math.log2(dist.num_classes) + 1e-12
+    n = len(counts)
+    h = entropy(counts)
+    assert -1e-12 <= h <= math.log2(n) + 1e-12
     values = set(counts.values())
     if len(values) == 1:
-        assert h == pytest.approx(math.log2(dist.num_classes), abs=1e-12)
-    elif dist.num_classes > 1:
-        assert h < math.log2(dist.num_classes)
+        assert h == pytest.approx(math.log2(n), abs=1e-12)
+    elif n > 1:
+        assert h < math.log2(n)
 
 
 @given(counts=count_dicts)
 def test_base_invariance_of_normalized_entropy(counts):
-    dist = AnswerDistribution(counts)
-    n = dist.num_classes
+    n = len(counts)
     if n < 2:
         return
-    total = dist.total
-    nats = -math.fsum(
-        (c / total) * math.log(c / total) for c in counts.values() if c > 0
-    )
-    assert normalized_entropy(dist) == pytest.approx(nats / math.log(n), abs=1e-12)
+    total = sum(counts.values())
+    nats = -math.fsum((c / total) * math.log(c / total) for c in counts.values())
+    assert normalized_entropy(counts) == pytest.approx(nats / math.log(n), abs=1e-12)
 
 
 @given(counts=count_dicts, seed=st.integers(0, 2**16))
 def test_permutation_invariance(counts, seed):
     labels = sorted(counts)
-    import random
-
     shuffled = labels[:]
     random.Random(seed).shuffle(shuffled)
     relabeled = {new: counts[old] for new, old in zip(labels, shuffled)}
-    assert entropy(AnswerDistribution(relabeled)) == pytest.approx(
-        entropy(AnswerDistribution(counts)), abs=1e-12
-    )
+    assert entropy(relabeled) == pytest.approx(entropy(counts), abs=1e-12)
 
 
 @given(counts=count_dicts)
 def test_concentrating_mass_never_increases_entropy(counts):
-    dist = AnswerDistribution(counts)
-    if dist.num_classes < 2:
+    if len(counts) < 2:
         return
-    nonzero = {a: c for a, c in counts.items() if c > 0}
-    major = max(nonzero, key=lambda a: (nonzero[a], a))
-    h_before = entropy(dist)
-    for minor in nonzero:
+    major = max(counts, key=lambda a: (counts[a], a))
+    h_before = entropy(counts)
+    for minor in counts:
         if minor == major:
             continue
-        moved = dict(nonzero)
+        moved = dict(counts)
         moved[minor] -= 1
         moved[major] += 1
-        assert entropy(AnswerDistribution(moved)) <= h_before + 1e-9
+        assert entropy(moved) <= h_before + 1e-9

@@ -135,7 +135,8 @@ class TestAccuracyReport:
             for i in (0, 1, 1, 2, 3, 4, 5)
         ]
         manifest = DatasetManifest(records)
-        assignment = build_assignment(manifest, SplitConfig())
+        # build_assignment rejects the repeated id, so label by hand
+        assignment = SplitAssignment(labels={f"q{i}": "head" for i in range(6)})
         preds = {f"q{i}": "x" for i in range(6)}
         with pytest.raises(ValueError) as info:
             accuracy_report(manifest, assignment, preds)
@@ -327,6 +328,10 @@ class TestUniformSample:
         for (_, _, part), got in per_cell.items():
             exact = 7.5 if part == "head" else 2.5
             assert abs(got - exact) < 1.0
+        # the house size rounds half up: 0.5 of 5 records keeps 3, where round(2.5) is 2
+        five = equal_strata_manifest(cells=1, per_cell=5)
+        five_assignment = build_assignment(five, SplitConfig(mode="conformal"))
+        assert len(uniform_sample(five, five_assignment, 0.5, seed=0)) == 3
 
     def test_same_seed_same_ids(self):
         manifest = equal_strata_manifest()

@@ -22,7 +22,7 @@ def test_pipeline_modules_leave_numpy_unimported():
     # a fresh interpreter: this one has numpy loaded by other test modules
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
-        "import avqabench.records, avqabench.split, avqabench.evaluate, avqabench.balance; "
+        "import avqabench.records, avqabench.split, avqabench.evaluate; "
         "print('numpy' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

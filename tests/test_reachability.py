@@ -1,12 +1,12 @@
 """Every public name in the package is reached by the program or the benchmark.
 
-A public top-level function or class, or a public method, of
-`src/avqabench` must be named in the code of `src/` or `benchmarks/`:
-as a name, an attribute or an imported name, found by walking each file's
-syntax tree, so a docstring or a comment does not count. A target of
-`[project.scripts]` in `pyproject.toml` counts too. Tests do not: a name
-that only tests reach belongs in the test module that uses it.
-ENTRY_POINTS names the few kept for callers outside the repository.
+A public top-level function, class or constant, or a public method, of
+`src/avqabench` must be used in the code of `src/` or `benchmarks/`: read
+as a name or an attribute, or imported, found by walking each file's
+syntax tree, so a docstring, a comment or an assignment does not count.
+A target of `[project.scripts]` in `pyproject.toml` counts too. Tests do
+not: a name that only tests reach belongs in the test module that uses
+it. ENTRY_POINTS names the few kept for callers outside the repository.
 """
 
 import ast
@@ -23,14 +23,25 @@ ENTRY_POINTS = {
 }
 
 
+def _module_level_names(node: ast.stmt) -> list[str]:
+    """The names a top-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def _public_definitions():
-    """(qualified name, bare name) of each public def/class in the package."""
+    """(qualified name, bare name) of each public def, class and constant in
+    the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            yield f"{path.stem}.{node.name}", node.name
+            for name in _module_level_names(node):
+                if not name.startswith("_"):
+                    yield f"{path.stem}.{name}", name
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
@@ -38,12 +49,13 @@ def _public_definitions():
 
 
 def _names_in(source: str) -> set[str]:
-    """Every name, attribute and imported name in one module's code."""
+    """Every name and attribute read, and every imported name, in one
+    module's code; an assignment's target is not a use."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
@@ -61,8 +73,8 @@ def _script_names(project: dict) -> set[str]:
 
 
 def _reached_names() -> set[str]:
-    """Every name, attribute and imported name in src/ and benchmarks/,
-    and every module and attribute a console script targets."""
+    """Every name and attribute read, and every imported name, in src/ and
+    benchmarks/, and every module and attribute a console script targets."""
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     names = set()
     for folder in ("src", "benchmarks"):
@@ -97,6 +109,8 @@ def test_entry_points_are_defined_and_reached_from_nowhere_else():
         "from module import target",
         "import package.target",
         "from module import target as alias",
+        "print(target)",
+        "x = module.target",
     ],
 )
 def test_a_use_in_code_reaches_the_name(source):
@@ -116,6 +130,20 @@ def test_docstrings_comments_and_strings_reach_nothing():
 
 def test_a_definition_alone_reaches_nothing():
     assert "target" not in _names_in("def target():\n    pass\n\nclass target:\n    pass\n")
+
+
+@pytest.mark.parametrize(
+    "source", ["target = 1", "target: int = 1", "module.target = 1", "del target"]
+)
+def test_an_assignment_alone_reaches_nothing(source):
+    assert "target" not in _names_in(source)
+
+
+def test_public_constants_are_checked():
+    source = "TARGET = 1\n_PRIVATE = 2\nannotated: int = 3\nsplit = other = 4\n"
+    names = [n for node in ast.parse(source).body for n in _module_level_names(node)]
+    assert names == ["TARGET", "_PRIVATE", "annotated", "split", "other"]
+    assert "split.BALANCED_ENTROPY" in dict(_public_definitions())
 
 
 def test_a_console_script_target_reaches_its_module_and_function():

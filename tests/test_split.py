@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from avqabench.balance import AnswerDistribution
 from avqabench.records import DatasetManifest, GroupKey, QARecord
 from avqabench.split import (
     MODES,
@@ -68,21 +67,21 @@ def at_threshold_count_maps(draw):
 
 class TestConformal:
     def test_dominant_class(self):
-        sol = conformal_split(KEY, AnswerDistribution({"x": 90, "y": 5, "z": 5}))
+        sol = conformal_split(KEY, {"x": 90, "y": 5, "z": 5})
         assert sol.head_size == 1
         assert sol.k == pytest.approx(1 / 3)
         assert sol.head_answers == ("x",)
         assert sol.coverage == pytest.approx(0.90)
 
     def test_equal_counts_get_nonempty_head(self):
-        sol = conformal_split(KEY, AnswerDistribution({"x": 10, "y": 10, "z": 10}))
+        sol = conformal_split(KEY, {"x": 10, "y": 10, "z": 10})
         # h=1 covers 1/3 < 2/3; h=2 covers 2/3 >= 1/3; ties break by label
         assert sol.head_size == 2
         assert sol.head_answers == ("x", "y")
         assert sol.tail_answers == ("z",)
 
     def test_single_class(self):
-        sol = conformal_split(KEY, AnswerDistribution({"x": 100}))
+        sol = conformal_split(KEY, {"x": 100})
         assert sol.head_size == 1
         assert sol.k == 1.0
         assert sol.head_answers == ("x",)
@@ -90,18 +89,18 @@ class TestConformal:
 
     def test_boundary_equality_is_exact(self):
         # 4/6 == 1 - 1/3 exactly; a float comparison would reject h=1
-        sol = conformal_split(KEY, AnswerDistribution({"x": 4, "y": 1, "z": 1}))
+        sol = conformal_split(KEY, {"x": 4, "y": 1, "z": 1})
         assert sol.head_size == 1
         assert sol.head_answers == ("x",)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            conformal_split(KEY, AnswerDistribution({}))
+            conformal_split(KEY, {})
 
     @settings(max_examples=200)
     @given(counts=count_maps)
     def test_matches_exhaustive_oracle(self, counts):
-        sol = conformal_split(KEY, AnswerDistribution(counts))
+        sol = conformal_split(KEY, counts)
         n = len(counts)
         total = sum(counts.values())
         assert sol.head_size == minimal_feasible_head_size(counts)
@@ -118,24 +117,24 @@ class TestConformal:
 
 class TestLegacy:
     def test_equal_counts_all_tail(self):
-        sol = legacy_split(KEY, AnswerDistribution({"x": 10, "y": 10, "z": 10}))
+        sol = legacy_split(KEY, {"x": 10, "y": 10, "z": 10})
         assert sol.head_answers == ()
         assert sol.tail_answers == ("x", "y", "z")
 
     def test_dominant_class(self):
         # mean 33.33, threshold 40: only x exceeds it
-        sol = legacy_split(KEY, AnswerDistribution({"x": 90, "y": 5, "z": 5}))
+        sol = legacy_split(KEY, {"x": 90, "y": 5, "z": 5})
         assert sol.head_answers == ("x",)
         assert sol.tail_answers == ("y", "z")
 
     def test_single_class_degenerates_to_tail(self):
-        sol = legacy_split(KEY, AnswerDistribution({"x": 100}))
+        sol = legacy_split(KEY, {"x": 100})
         assert sol.head_answers == ()
         assert sol.tail_answers == ("x",)
 
     def test_count_at_exactly_six_fifths_of_the_mean_is_tail(self):
         # threshold 6/5 * 35/3 = 14 exactly; in floats 1.2 * (35 / 3) < 14
-        sol = legacy_split(KEY, AnswerDistribution({"a": 14, "b": 11, "c": 10}))
+        sol = legacy_split(KEY, {"a": 14, "b": 11, "c": 10})
         assert sol.head_answers == ()
         assert sol.tail_answers == ("a", "b", "c")
 
@@ -143,7 +142,7 @@ class TestLegacy:
     @given(counts=count_maps | at_threshold_count_maps())
     def test_matches_exact_oracle(self, counts):
         n, total = len(counts), sum(counts.values())
-        sol = legacy_split(KEY, AnswerDistribution(counts))
+        sol = legacy_split(KEY, counts)
         assert set(sol.head_answers) == {a for a, c in counts.items() if 5 * c * n > 6 * total}
 
     @given(
@@ -152,8 +151,8 @@ class TestLegacy:
     )
     def test_pathology_witness_on_any_equal_count_group(self, count, n):
         counts = {f"a{i}": count for i in range(n)}
-        legacy = legacy_split(KEY, AnswerDistribution(counts))
-        conformal = conformal_split(KEY, AnswerDistribution(counts))
+        legacy = legacy_split(KEY, counts)
+        conformal = conformal_split(KEY, counts)
         assert legacy.head_size == 0
         assert conformal.head_size >= 1
 
@@ -191,6 +190,17 @@ class TestAssignment:
         )
         assert assignment.labels == {}
         assert assignment.solutions == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_repeated_id_is_an_error(self, mode):
+        # six distinct ids, q1 passed twice: 6 labels for 7 records
+        records = [
+            QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="x")
+            for i in (0, 1, 1, 2, 3, 4, 5)
+        ]
+        with pytest.raises(ValueError) as info:
+            build_assignment(DatasetManifest(records), SplitConfig(mode))
+        assert str(info.value) == "dataset repeats the id 'q1'"
 
     def test_unknown_mode_rejected(self):
         manifest = _manifest_from_counts({"x": 1})

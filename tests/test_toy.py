@@ -1,7 +1,7 @@
 """Stacked toy model: backward pass, determinism, divergence, parameter blocks."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -201,4 +201,4 @@ def test_paired_experiment_generates_each_dataset_once(monkeypatch):
         assert {k: run[k] for k in ("head_acc", "tail_acc", "overall_acc")} == evaluate_toy(
             params, head_test, tail_test
         )
-        assert run["final_loss"] == trace[-1].to_dict()
+        assert run["final_loss"] == asdict(trace[-1])

@@ -6,7 +6,8 @@ sample-weighted (micro) rollups per task and pooled over everything, the
 layout used for head/tail robustness tables. A prediction is correct when
 it equals the gold answer after both are normalized; there is no
 numeral/word equivalence ("two" and "2" do not match), because the answer
-vocabulary is a closed label set.
+vocabulary is a closed label set. Scoring and sampling take a split with
+the manifest it was built from, and reject a split of another dataset.
 """
 
 from __future__ import annotations
@@ -141,16 +142,9 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _check_pairing(
-    manifest: DatasetManifest, assignment: SplitAssignment, preds: dict[str, str]
-) -> None:
-    """Raise on a repeated dataset id, else on the first unpaired id:
-    prediction, then split label."""
-    gold_ids: set[str] = set()
-    for rec in manifest.records:
-        if rec.id in gold_ids:
-            raise ValueError(f"dataset repeats the id {rec.id!r}")
-        gold_ids.add(rec.id)
+def _check_pairing(manifest: DatasetManifest, preds: dict[str, str]) -> None:
+    """Raise on a gold id with no prediction or a prediction for no gold id."""
+    gold_ids = {rec.id for rec in manifest.records}
     missing = [rec.id for rec in manifest.records if rec.id not in preds]
     orphans = [pid for pid in preds if pid not in gold_ids]
     if missing or orphans:
@@ -158,12 +152,6 @@ def _check_pairing(
             "gold/prediction mismatch: missing predictions for "
             f"{missing!r}, orphan predictions {orphans!r}"
         )
-    unassigned = [rec.id for rec in manifest.records if rec.id not in assignment.labels]
-    if unassigned:
-        raise ValueError(f"records missing from split assignment: {unassigned!r}")
-    extra = [rid for rid in assignment.labels if rid not in gold_ids]
-    if extra:
-        raise ValueError(f"split assignment labels ids not in the dataset: {extra!r}")
 
 
 def accuracy_report(
@@ -173,27 +161,25 @@ def accuracy_report(
 ) -> EvalReport:
     """Score predictions against gold answers per head/tail cell.
 
-    Requires distinct gold ids and a complete pairing: every gold id
-    predicted, no orphan predictions, every gold id present in the split
-    assignment, and no split label for an id outside the dataset.
-    Unresolved ids raise with the offending ids listed.
+    The split must be the one built from this manifest, and the
+    predictions must pair with the gold ids exactly: every gold id
+    predicted and no orphan predictions. Unpaired ids raise with the
+    offending ids listed.
 
     Scoring is one pass over the records. Each distinct string is
     normalized once; the ids are only cross-checked in full when their
-    counts disagree, as a repeated gold id always makes them, or a lookup
-    misses.
+    counts disagree or a lookup misses.
     """
-    labels = assignment.labels
-    if not len(preds) == len(labels) == len(manifest):
-        _check_pairing(manifest, assignment, preds)
+    labels = assignment.labels_for(manifest)
+    if len(preds) != len(manifest):
+        _check_pairing(manifest, preds)
     normalized: dict[str, str] = {}
     raw: dict[tuple[str, str, str], CellStats] = {}
     for rec in manifest.records:
         prediction = preds.get(rec.id)
-        part = labels.get(rec.id)
-        if prediction is None or part is None:
-            _check_pairing(manifest, assignment, preds)  # raises: this id is unpaired
-        key = (rec.task, rec.question_type, part)
+        if prediction is None:
+            _check_pairing(manifest, preds)  # raises: this id is unpaired
+        key = (rec.task, rec.question_type, labels[rec.id])
         stats = raw.get(key)
         if stats is None:
             raw[key] = stats = CellStats()
@@ -221,22 +207,19 @@ def uniform_sample(
     house size of ratio * total rounded half up (0.5 of 5 records keeps 3,
     where round(2.5) is 2), so each cell is within one record of its exact
     quota. Selection within a cell is a seeded shuffle; the
-    output keeps the original record order.
+    output keeps the original record order. The split must be the one
+    built from this manifest.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    labels = assignment.labels
+    labels = assignment.labels_for(manifest)
     cells: dict[tuple[str, str, str], list[str]] = {}
     for (task, qtype), group in manifest.groups.items():
         parts: dict[str, list[str]] = {}
         for rec in group:
-            part = labels.get(rec.id)
+            part = labels[rec.id]
             ids = parts.get(part)
             if ids is None:
-                if part is None:
-                    # name the first unlabelled record in file order
-                    unlabelled = next(r.id for r in manifest.records if labels.get(r.id) is None)
-                    raise ValueError(f"record {unlabelled!r} missing from split assignment")
                 parts[part] = ids = []
             ids.append(rec.id)
         for part, ids in parts.items():

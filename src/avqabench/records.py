@@ -54,6 +54,8 @@ _MISSING = object()
 _SHAREABLE = frozenset((str, int, bool, type(None)))
 # The most distinct extras one parse keeps for sharing; the rest are not shared.
 _SHARED_EXTRAS_MAX = 4096
+# The fields of a dataset line, which no record's extras may hold.
+_SCHEMA_FIELDS = frozenset("id task question_type question answer video_id rephrase_of".split())
 
 
 class _ReadOnlyDict(dict):
@@ -95,6 +97,7 @@ class QARecord:
 
     `extras` holds the fields outside the schema, in file order, as a
     read-only dict; a record built without them shares one empty dict.
+    to_dict rejects extras that hold a schema field, as parsed ones never do.
     """
 
     id: str
@@ -118,6 +121,9 @@ class QARecord:
             out["video_id"] = self.video_id
         if self.rephrase_of is not None:
             out["rephrase_of"] = self.rephrase_of
+        for key in self.extras:
+            if key in _SCHEMA_FIELDS:
+                raise ValueError(f"record {self.id!r}: extras key {key!r} is a schema field")
         out.update(self.extras)
         return out
 

@@ -22,8 +22,10 @@ each), and does not depend on the logarithm base. Ties between equal
 counts are broken by ascending answer label so that identical inputs
 always yield identical splits.
 
-write_split writes a split as indented JSON; load_split reads one back
-only if rebuilding the split from its dataset gives the same text.
+A SplitAssignment derives its labels from the manifest it is built from,
+and a stage handed a split of another dataset raises. write_split writes
+a split as indented JSON; load_split reads one back only if rebuilding the
+split from its dataset gives the same text.
 """
 
 from __future__ import annotations
@@ -80,10 +82,37 @@ class SplitConfig:
 
 @dataclass
 class SplitAssignment:
-    """Record-level head/tail labels plus the per-group solutions."""
+    """The per-group solutions of the manifest it keeps, and `labels`: each
+    record id in file order, "head" iff the record's answer is in its group's
+    head set. An unsolved group or a repeated record id is an error."""
 
-    labels: dict[str, str] = field(default_factory=dict)
-    solutions: list[SplitSolution] = field(default_factory=list)
+    manifest: DatasetManifest = field(compare=False, repr=False)
+    solutions: list[SplitSolution]
+    labels: dict[str, str] = field(init=False)
+
+    def __post_init__(self):
+        head_sets = {sol.key: set(sol.head_answers) for sol in self.solutions}
+        for key in self.manifest.groups:
+            if key not in head_sets:
+                raise ValueError(f"group ({key.task}, {key.question_type}) has no split solution")
+        records = self.manifest.records
+        self.labels = {
+            rec.id: "head" if rec.answer in head_sets[rec.task, rec.question_type] else "tail"
+            for rec in records
+        }
+        if len(self.labels) != len(records):
+            seen: set[str] = set()
+            for rec in records:
+                if rec.id in seen:
+                    raise ValueError(f"dataset repeats the id {rec.id!r}")
+                seen.add(rec.id)
+
+    def labels_for(self, manifest: DatasetManifest) -> dict[str, str]:
+        """`labels`, once `manifest` is checked to be the dataset this split
+        labels: the same object, or else an equal one."""
+        if manifest is not self.manifest and manifest != self.manifest:
+            raise ValueError("split assignment was built from another dataset")
+        return self.labels
 
     def to_dict(self) -> dict:
         """The split file's document; its 'assignments' is self.labels, not a copy."""
@@ -200,34 +229,19 @@ def legacy_split(key: GroupKey, counts: Mapping[str, int]) -> SplitSolution:
 
 
 def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAssignment:
-    """Split every group with the configured mode and label each record.
+    """Split every group with the configured mode; the split labels each record.
 
     Groups are split in sorted group-key order. Balanced groups
     (normalized entropy at or above BALANCED_ENTROPY) are split like any
-    other but carry balanced=True in their solution. A record is head iff
-    its answer is in its group's head set. A repeated record id is an
-    error.
+    other but carry balanced=True in their solution. A repeated record id
+    is an error.
     """
     if config.mode not in MODES:
         raise ValueError(f"unknown split mode {config.mode!r}; expected one of {MODES}")
     rule = conformal_split if config.mode == "conformal" else legacy_split
-    solutions = []
-    head_sets: dict[GroupKey, set[str]] = {}
-    for key in sorted(manifest.groups):
-        sol = rule(key, Counter(r.answer for r in manifest.groups[key]))
-        solutions.append(sol)
-        head_sets[key] = set(sol.head_answers)
-    labels = {
-        rec.id: "head" if rec.answer in head_sets[rec.task, rec.question_type] else "tail"
-        for rec in manifest.records
-    }
-    if len(labels) != len(manifest):
-        seen: set[str] = set()
-        for rec in manifest.records:
-            if rec.id in seen:
-                raise ValueError(f"dataset repeats the id {rec.id!r}")
-            seen.add(rec.id)
-    return SplitAssignment(labels=labels, solutions=solutions)
+    groups = manifest.groups
+    solutions = [rule(key, Counter(r.answer for r in groups[key])) for key in sorted(groups)]
+    return SplitAssignment(manifest, solutions)
 
 
 def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
@@ -255,24 +269,17 @@ def distribution_report(
     reference (e.g. a training split), the head records, and the tail
     records, plus total-variation distances TV(reference, head) and
     TV(reference, tail). Groups missing from the reference are flagged
-    rather than fatal; an empty tail yields a null TV. A manifest group
-    with no split solution, or a record of a split group with no split
-    label, is an error.
+    rather than fatal; an empty tail yields a null TV. A split of another
+    dataset is an error.
     """
-    solved = {sol.key for sol in assignment.solutions}
-    for key in manifest.groups:
-        if key not in solved:
-            raise ValueError(f"group ({key.task}, {key.question_type}) has no split solution")
+    labels = assignment.labels_for(manifest)
     groups = []
     for sol in assignment.solutions:
         key = sol.key
         head_answers: list[str] = []
         tail_answers: list[str] = []
         for rec in manifest.groups.get(key, ()):
-            label = assignment.labels.get(rec.id)
-            if label is None:
-                raise ValueError(f"record {rec.id!r} missing from split assignment")
-            (head_answers if label == "head" else tail_answers).append(rec.answer)
+            (head_answers if labels[rec.id] == "head" else tail_answers).append(rec.answer)
         in_reference = key in reference.groups
         ref_answers = [rec.answer for rec in reference.groups.get(key, ())]
         ref_freq = _frequencies(ref_answers)

@@ -421,6 +421,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="C >= 2"):
             batch_loss_and_grad(np.zeros((4, 3, 1)), np.zeros(3, dtype=int), DebiasConfig())
 
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False])])
+    def test_batch_rejects_labels_that_are_not_integers(self, labels):
+        with pytest.raises(ValueError) as info:
+            batch_loss_and_grad(np.zeros((4, 2, 3)), labels, DebiasConfig())
+        assert str(info.value) == f"labels must be integers, got dtype {labels.dtype}"
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DebiasConfig(alpha=-1.0)

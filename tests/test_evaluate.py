@@ -81,9 +81,9 @@ def fixture_manifest_and_preds():
         ("a4", "audio", "Counting", "seven"),
     ]
     manifest = make_manifest(rows)
-    assignment = SplitAssignment(
-        labels={"a1": "head", "a2": "head", "a3": "tail", "a4": "tail"}
-    )
+    # mean count 4/3, so the legacy threshold is 1.6 and only "two" is head
+    assignment = build_assignment(manifest, SplitConfig(mode="legacy"))
+    assert assignment.labels == {"a1": "head", "a2": "head", "a3": "tail", "a4": "tail"}
     preds = {"a1": "two", "a2": "Two", "a3": "three", "a4": "two"}
     return manifest, assignment, preds
 
@@ -116,18 +116,6 @@ class TestAccuracyReport:
         with pytest.raises(ValueError, match="zz"):
             accuracy_report(manifest, assignment, preds)
 
-    def test_record_missing_from_assignment_is_an_error(self):
-        manifest, assignment, preds = fixture_manifest_and_preds()
-        del assignment.labels["a2"]
-        with pytest.raises(ValueError, match="a2"):
-            accuracy_report(manifest, assignment, preds)
-
-    def test_label_for_id_outside_dataset_is_an_error(self):
-        manifest, assignment, preds = fixture_manifest_and_preds()
-        assignment.labels["ghost"] = "tail"
-        with pytest.raises(ValueError, match="ghost"):
-            accuracy_report(manifest, assignment, preds)
-
     def test_repeated_gold_id_is_an_error(self):
         # six distinct ids, q1 passed twice: scoring it would count 7
         records = [
@@ -135,12 +123,15 @@ class TestAccuracyReport:
             for i in (0, 1, 1, 2, 3, 4, 5)
         ]
         manifest = DatasetManifest(records)
-        # build_assignment rejects the repeated id, so label by hand
-        assignment = SplitAssignment(labels={f"q{i}": "head" for i in range(6)})
+        # no split of it can be built, and a split of the six distinct records is another's
+        distinct = build_assignment(DatasetManifest(records[:2] + records[3:]), SplitConfig())
+        with pytest.raises(ValueError) as info:
+            SplitAssignment(manifest, distinct.solutions)
+        assert str(info.value) == "dataset repeats the id 'q1'"
         preds = {f"q{i}": "x" for i in range(6)}
         with pytest.raises(ValueError) as info:
-            accuracy_report(manifest, assignment, preds)
-        assert str(info.value) == "dataset repeats the id 'q1'"
+            accuracy_report(manifest, distinct, preds)
+        assert str(info.value) == "split assignment was built from another dataset"
 
     def test_empty_tail_cell_absent(self):
         manifest = make_manifest([("x1", "avqa", "Existential", "yes")])
@@ -261,20 +252,6 @@ def test_parsed_files_name_the_missing_and_orphan_ids(write_jsonl, tmp_path):
     )
 
 
-def test_split_label_mismatches_raise_the_listed_ids():
-    manifest, assignment, preds = fixture_manifest_and_preds()
-    assignment.labels["ghost"] = "tail"
-    assignment.labels["ghost2"] = "head"
-    with pytest.raises(ValueError) as info:
-        accuracy_report(manifest, assignment, preds)
-    assert str(info.value) == "split assignment labels ids not in the dataset: ['ghost', 'ghost2']"
-    # same label count as records, one of them for an unknown id
-    del assignment.labels["a3"], assignment.labels["ghost2"]
-    with pytest.raises(ValueError) as info:
-        accuracy_report(manifest, assignment, preds)
-    assert str(info.value) == "records missing from split assignment: ['a3']"
-
-
 def equal_strata_manifest(cells=10, per_cell=100):
     rows = []
     qtypes = ["Counting", "Comparative", "Temporal", "Location", "Existential"]
@@ -371,16 +348,6 @@ class TestUniformSample:
         rebuilt = DatasetManifest(sampled.records)
         assert list(sampled.groups.items()) == list(rebuilt.groups.items())
         assert all(type(key) is GroupKey for key in sampled.groups)
-
-    def test_unlabelled_record_named_in_file_order(self):
-        manifest = make_manifest(
-            [("a1", "audio", "Counting", "two"), ("v1", "visual", "Location", "left"),
-             ("a2", "audio", "Counting", "two")]
-        )
-        assignment = SplitAssignment(labels={"a1": "head"})
-        with pytest.raises(ValueError) as info:
-            uniform_sample(manifest, assignment, 0.5, seed=0)
-        assert str(info.value) == "record 'v1' missing from split assignment"
 
     @given(ratio=st.floats(min_value=0.01, max_value=1.0), seed=st.integers(0, 999))
     def test_allocation_within_one_of_quota(self, ratio, seed):

@@ -119,6 +119,22 @@ def test_extra_fields_preserved_on_round_trip(write_jsonl, tmp_path):
     assert parse_dataset(out) == manifest
 
 
+@pytest.mark.parametrize(
+    "key", ["id", "task", "question_type", "question", "answer", "video_id", "rephrase_of"]
+)
+def test_extras_holding_a_schema_field_are_not_written(key, tmp_path):
+    # written as is, the extras would replace or add the field on the line
+    rec = QARecord(id="q1", task="audio", question_type="Counting", question="?", answer="two",
+                   extras={"difficulty": "easy", key: "q2"})
+    message = f"record 'q1': extras key {key!r} is a schema field"
+    with pytest.raises(ValueError) as info:
+        rec.to_dict()
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        write_dataset(DatasetManifest([rec]), tmp_path / "out.jsonl")
+    assert str(info.value) == message
+
+
 def test_labels_share_one_string_per_distinct_value(write_jsonl):
     rows = [
         qa_row(i, task="visual", qtype="Location", answer=["left", "right"][i % 2],

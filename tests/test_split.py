@@ -1,19 +1,23 @@
 """Head/tail split rules (coverage-constrained and legacy multiplier) and split files."""
 
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from avqabench.evaluate import accuracy_report, uniform_sample
 from avqabench.records import DatasetManifest, GroupKey, QARecord
 from avqabench.split import (
     MODES,
+    SplitAssignment,
     SplitConfig,
     build_assignment,
     conformal_split,
@@ -169,6 +173,30 @@ def _manifest_from_counts(counts, task="avqa", qtype="Counting"):
     return DatasetManifest(rows)
 
 
+GROUP_KEYS = [("audio", "Counting"), ("visual", "Location"), ("avqa", "Zählen")]
+FILE_ANSWERS = ["x", "y", "z", "ünï", "e\u2028f"]
+
+
+@st.composite
+def multi_group_manifests(draw, min_groups=0):
+    """Records of up to three groups, ids q0.. in a drawn order."""
+    counts = draw(
+        st.dictionaries(
+            st.sampled_from(GROUP_KEYS),
+            st.dictionaries(st.sampled_from(FILE_ANSWERS), st.integers(1, 6), min_size=1),
+            min_size=min_groups,
+        )
+    )
+    rows = [(key, a) for key, group in counts.items() for a, c in group.items() for _ in range(c)]
+    rows = draw(st.permutations(rows))
+    return DatasetManifest(
+        [
+            QARecord(id=f"q{i}", task=task, question_type=qtype, question="?", answer=answer)
+            for i, ((task, qtype), answer) in enumerate(rows)
+        ]
+    )
+
+
 class TestAssignment:
     def test_conformal_six_record_group(self):
         manifest = _manifest_from_counts({"x": 4, "y": 1, "z": 1})
@@ -217,12 +245,15 @@ class TestAssignment:
         sol = build_assignment(skewed, SplitConfig(mode="conformal")).solutions[0]
         assert not sol.balanced
 
-    def test_record_is_head_iff_answer_in_head_set(self):
-        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
-        assignment = build_assignment(manifest, SplitConfig(mode="conformal"))
-        head_set = set(assignment.solutions[0].head_answers)
+    @settings(max_examples=60)
+    @given(manifest=multi_group_manifests(), mode=st.sampled_from(MODES))
+    @example(manifest=_manifest_from_counts({"x": 7, "y": 2, "z": 1}), mode="conformal")
+    def test_record_is_head_iff_answer_in_head_set(self, manifest, mode):
+        assignment = build_assignment(manifest, SplitConfig(mode=mode))
+        assert list(assignment.labels) == [rec.id for rec in manifest.records]
         for rec in manifest.records:
-            expected = "head" if rec.answer in head_set else "tail"
+            (sol,) = [sol for sol in assignment.solutions if sol.key == (rec.task, rec.question_type)]
+            expected = "head" if rec.answer in sol.head_answers else "tail"
             assert assignment.labels[rec.id] == expected
 
     def test_byte_identical_split_files(self, tmp_path):
@@ -310,30 +341,6 @@ MALFORMED = [
     _with(17, tail_answers=["y", "y"]),
     _with(16, tail_answers=["z", "x"]),
 ]
-
-GROUP_KEYS = [("audio", "Counting"), ("visual", "Location"), ("avqa", "Zählen")]
-FILE_ANSWERS = ["x", "y", "z", "ünï", "e\u2028f"]
-
-
-@st.composite
-def multi_group_manifests(draw, min_groups=0):
-    """Records of up to three groups, ids q0.. in a drawn order."""
-    counts = draw(
-        st.dictionaries(
-            st.sampled_from(GROUP_KEYS),
-            st.dictionaries(st.sampled_from(FILE_ANSWERS), st.integers(1, 6), min_size=1),
-            min_size=min_groups,
-        )
-    )
-    rows = [(key, a) for key, group in counts.items() for a, c in group.items() for _ in range(c)]
-    rows = draw(st.permutations(rows))
-    return DatasetManifest(
-        [
-            QARecord(id=f"q{i}", task=task, question_type=qtype, question="?", answer=answer)
-            for i, ((task, qtype), answer) in enumerate(rows)
-        ]
-    )
-
 
 def _written(manifest, mode, path):
     assignment = build_assignment(manifest, SplitConfig(mode=mode))
@@ -460,6 +467,61 @@ class TestSplitFile:
         assert str(info.value) == f"split file: line 13 is {found!r}, expected {expected!r}"
 
 
+# 10 records in 2 groups: 6 of (avqa, Counting), then 4 of (visual, Location)
+TWO_GROUPS = _manifest_from_counts({"x": 4, "y": 2}).records + [
+    QARecord(id=f"v{i}", task="visual", question_type="Location", question="?", answer="l")
+    for i in range(4)
+]
+
+STAGES = [
+    pytest.param(
+        lambda m, a: accuracy_report(m, a, {rec.id: rec.answer for rec in m.records}),
+        id="accuracy_report",
+    ),
+    pytest.param(lambda m, a: uniform_sample(m, a, 0.5, seed=0), id="uniform_sample"),
+    pytest.param(lambda m, a: distribution_report(m, a, m), id="distribution_report"),
+]
+
+# the records a split is built from, and the other records a stage is given
+OTHER_DATASETS = {
+    "a group more": (TWO_GROUPS[:6], TWO_GROUPS),
+    "a record less": (TWO_GROUPS, TWO_GROUPS[:-1]),
+    "an answer changed": (TWO_GROUPS, TWO_GROUPS[:-1] + [replace(TWO_GROUPS[-1], answer="r")]),
+    "reordered": (TWO_GROUPS, TWO_GROUPS[::-1]),
+}
+
+
+class TestBinding:
+    def test_labels_are_derived_and_cannot_be_passed(self):
+        manifest = DatasetManifest(TWO_GROUPS)
+        solutions = build_assignment(manifest, SplitConfig()).solutions
+        with pytest.raises(TypeError):
+            SplitAssignment(manifest, solutions, labels={})
+
+    def test_group_without_a_solution_is_an_error(self):
+        manifest = DatasetManifest(TWO_GROUPS)
+        (counting, _) = build_assignment(manifest, SplitConfig()).solutions
+        with pytest.raises(ValueError) as info:
+            SplitAssignment(manifest, [counting])
+        assert str(info.value) == "group (visual, Location) has no split solution"
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("built_from, given", OTHER_DATASETS.values(), ids=OTHER_DATASETS)
+    def test_a_stage_rejects_a_split_of_another_dataset(self, stage, built_from, given):
+        assignment = build_assignment(DatasetManifest(built_from), SplitConfig())
+        with pytest.raises(ValueError) as info:
+            stage(DatasetManifest(given), assignment)
+        assert str(info.value) == "split assignment was built from another dataset"
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_stage_accepts_an_equal_dataset(self, stage):
+        manifest = DatasetManifest(TWO_GROUPS)
+        assignment = build_assignment(manifest, SplitConfig())
+        equal = DatasetManifest(copy.deepcopy(TWO_GROUPS))
+        assert equal is not manifest and equal == manifest
+        assert stage(equal, assignment) == stage(manifest, assignment)
+
+
 class TestDistributionReport:
     def test_identical_head_has_zero_tv(self):
         manifest = _manifest_from_counts({"x": 8, "y": 2})
@@ -498,26 +560,6 @@ class TestDistributionReport:
         group = report["groups"][0]
         assert group["missing_in_reference"]
         assert group["tv_reference_head"] is None
-
-    def test_record_without_a_label_is_an_error(self):
-        manifest = _manifest_from_counts({"x": 4, "y": 1, "z": 1})
-        assignment = build_assignment(manifest, SplitConfig(mode="conformal"))
-        del assignment.labels["q5"]
-        with pytest.raises(ValueError, match="record 'q5' missing from split assignment"):
-            distribution_report(manifest, assignment, manifest)
-
-    def test_group_without_a_solution_is_an_error(self):
-        # 10 records in 2 groups; the split only knows the first group's 6
-        first = _manifest_from_counts({"x": 4, "y": 2}).records
-        second = [
-            QARecord(id=f"v{i}", task="visual", question_type="Location", question="?", answer="l")
-            for i in range(4)
-        ]
-        manifest = DatasetManifest(first + second)
-        assert len(manifest) == 10 and len(manifest.groups) == 2
-        assignment = build_assignment(DatasetManifest(first), SplitConfig())
-        with pytest.raises(ValueError, match=r"group \(visual, Location\) has no split solution"):
-            distribution_report(manifest, assignment, manifest)
 
     def test_total_variation_basics(self):
         assert total_variation({"a": 1.0}, {"a": 1.0}) == 0.0

@@ -101,6 +101,8 @@ def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfi
             f"expected (4, n, C) logits with C >= 2 and (n,) labels, "
             f"got {z.shape} and {labels.shape}"
         )
+    if z.shape[1] == 0:
+        raise ValueError("expected a batch of n >= 1 samples, got n = 0")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     n, c = z.shape[1:]

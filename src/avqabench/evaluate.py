@@ -13,13 +13,17 @@ the manifest it was built from, and reject a split of another dataset.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, eq
 from typing import Iterable
 
 from .records import DatasetManifest
 from .split import SplitAssignment
 
-_TERMINAL_PUNCT = ".,!?;:"
+# terminal punctuation, and the spaces stripped with it
+_TRAILING = ".,!?;: "
 
 
 def normalize_answer(text: str) -> str:
@@ -28,7 +32,7 @@ def normalize_answer(text: str) -> str:
     Trailing punctuation and spaces are stripped together, so the result
     is a fixed point: normalizing it again changes nothing.
     """
-    return " ".join(text.lower().split()).rstrip(_TERMINAL_PUNCT + " ")
+    return " ".join(text.lower().split()).rstrip(_TRAILING)
 
 
 @dataclass
@@ -39,10 +43,6 @@ class CellStats:
     @property
     def accuracy(self) -> float:
         return self.correct / self.count
-
-    def add(self, is_correct: bool) -> None:
-        self.count += 1
-        self.correct += int(is_correct)
 
     def to_dict(self) -> dict:
         return {"count": self.count, "correct": self.correct, "accuracy": self.accuracy}
@@ -142,8 +142,9 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _check_pairing(manifest: DatasetManifest, preds: dict[str, str]) -> None:
-    """Raise on a gold id with no prediction or a prediction for no gold id."""
+def _check_predictions(manifest: DatasetManifest, preds: dict[str, str]) -> None:
+    """Raise on a gold id with no prediction or a prediction for no gold id,
+    then on the first prediction, in file order, that is not a string."""
     gold_ids = {rec.id for rec in manifest.records}
     missing = [rec.id for rec in manifest.records if rec.id not in preds]
     orphans = [pid for pid in preds if pid not in gold_ids]
@@ -152,6 +153,12 @@ def _check_pairing(manifest: DatasetManifest, preds: dict[str, str]) -> None:
             "gold/prediction mismatch: missing predictions for "
             f"{missing!r}, orphan predictions {orphans!r}"
         )
+    for rec in manifest.records:
+        prediction = preds[rec.id]
+        if not isinstance(prediction, str):
+            raise ValueError(
+                f"prediction for {rec.id!r} must be a string, got {type(prediction).__name__}"
+            )
 
 
 def accuracy_report(
@@ -164,34 +171,32 @@ def accuracy_report(
     The split must be the one built from this manifest, and the
     predictions must pair with the gold ids exactly: every gold id
     predicted and no orphan predictions. Unpaired ids raise with the
-    offending ids listed.
+    offending ids listed, and a prediction that is not a string raises
+    naming its id.
 
-    Scoring is one pass over the records. Each distinct string is
-    normalized once; the ids are only cross-checked in full when their
-    counts disagree or a lookup misses.
+    Scoring reads the split's per-record cell column: the predictions are
+    looked up in file order, each distinct prediction and each distinct
+    gold answer is normalized once, and the records whose normalized
+    prediction equals their normalized gold answer are counted per cell.
+    The ids and values are only checked in full when the counts disagree
+    or a lookup finds no string.
     """
-    labels = assignment.labels_for(manifest)
-    if len(preds) != len(manifest):
-        _check_pairing(manifest, preds)
-    normalized: dict[str, str] = {}
-    raw: dict[tuple[str, str, str], CellStats] = {}
-    for rec in manifest.records:
-        prediction = preds.get(rec.id)
-        if prediction is None:
-            _check_pairing(manifest, preds)  # raises: this id is unpaired
-        key = (rec.task, rec.question_type, labels[rec.id])
-        stats = raw.get(key)
-        if stats is None:
-            raw[key] = stats = CellStats()
-        gold = normalized.get(rec.answer)
-        if gold is None:
-            gold = normalized[rec.answer] = normalize_answer(rec.answer)
-        guess = normalized.get(prediction)
-        if guess is None:
-            guess = normalized[prediction] = normalize_answer(prediction)
-        stats.add(guess == gold)
-    ordered = {key: raw[key] for key in sorted(raw)}
-    return EvalReport(cells=ordered)
+    guesses = list(map(preds.get, assignment.labels_for(manifest)))
+    if len(preds) != len(guesses) or not set(map(type, guesses)) <= {str}:
+        _check_predictions(manifest, preds)
+    golds = list(map(attrgetter("answer"), manifest.records))
+    # two tables, so that the gold lookups stay in a small one
+    guessed = {text: normalize_answer(text) for text in dict.fromkeys(guesses)}
+    gold = {text: normalize_answer(text) for text in dict.fromkeys(golds)}
+    hits = map(eq, map(guessed.__getitem__, guesses), map(gold.__getitem__, golds))
+    counts = Counter(assignment.cells)
+    correct = Counter(compress(assignment.cells, hits))
+    return EvalReport(
+        cells={
+            key: CellStats(counts[cell], correct[cell])
+            for cell, key in enumerate(assignment.cell_keys)
+        }
+    )
 
 
 def uniform_sample(
@@ -212,35 +217,27 @@ def uniform_sample(
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    labels = assignment.labels_for(manifest)
-    cells: dict[tuple[str, str, str], list[str]] = {}
-    for (task, qtype), group in manifest.groups.items():
-        parts: dict[str, list[str]] = {}
-        for rec in group:
-            part = labels[rec.id]
-            ids = parts.get(part)
-            if ids is None:
-                parts[part] = ids = []
-            ids.append(rec.id)
-        for part, ids in parts.items():
-            cells[task, qtype, part] = ids
+    assignment.labels_for(manifest)  # raises on a split of another dataset
+    members: list[list[int]] = [[] for _ in assignment.cell_keys]
+    for position, cell in enumerate(assignment.cells):
+        members[cell].append(position)
 
-    total = len(manifest.records)
-    house = int(ratio * total + 0.5)
-    keys = sorted(cells)
-    quotas = {key: ratio * len(cells[key]) for key in keys}
-    base = {key: int(quotas[key]) for key in keys}
-    leftover = house - sum(base.values())
-    by_remainder = sorted(keys, key=lambda key: (-(quotas[key] - base[key]), key))
-    targets = dict(base)
-    for key in by_remainder[:leftover]:
-        targets[key] += 1
+    records = manifest.records
+    house = int(ratio * len(records) + 0.5)
+    # cells are numbered in sorted key order, so a tie in remainder goes to
+    # the smaller key
+    quotas = [ratio * len(positions) for positions in members]
+    targets = [int(quota) for quota in quotas]
+    leftover = house - sum(targets)
+    by_remainder = sorted(
+        range(len(members)), key=lambda cell: (-(quotas[cell] - targets[cell]), cell)
+    )
+    for cell in by_remainder[:leftover]:
+        targets[cell] += 1
 
     rng = random.Random(seed)
-    chosen: set[str] = set()
-    for key in keys:
-        members = cells[key]
-        rng.shuffle(members)
-        chosen.update(members[: targets[key]])
-    records = [rec for rec in manifest.records if rec.id in chosen]
-    return DatasetManifest(records)
+    chosen: list[int] = []
+    for positions, target in zip(members, targets):
+        rng.shuffle(positions)
+        chosen += positions[:target]
+    return DatasetManifest(map(records.__getitem__, sorted(chosen)))

@@ -12,16 +12,20 @@ In both, lines are separated by "\n" only and each is decoded as UTF-8 on
 its own. A string may hold any other line or paragraph separator raw
 (U+2028, U+0085, form feed, ...), and a "\r" before the "\n" is JSON
 whitespace. Unknown extra fields on dataset records are preserved on
-round-trip but otherwise ignored. A DatasetManifest groups its records by
-(task, question_type) when it is built: each group holds the record objects
-themselves, the same objects as the record list and in file order, so the
-groups cannot disagree with the records.
+round-trip but otherwise ignored. A DatasetManifest holds its records as a
+tuple and groups them by (task, question_type) when it is built: each group
+holds the record objects themselves, the same objects as the record tuple
+and in file order, so the groups cannot disagree with the records, and the
+tuple cannot gain or lose a record after a split has labelled them.
 
-Labels come from small closed sets and repeat across many records, so a
-parse keeps one string object per distinct value: the records of a dataset
-share their task, question_type, answer and video_id strings and the keys
-of their extras (via sys.intern), and a prediction file's equal
-predictions share one string. A record's extras are a read-only dict,
+Labels come from small closed sets and repeat across many records, so the
+records of a dataset share their task, question_type, answer and video_id
+strings and the keys of their extras through sys.intern: the interned
+copies serve every dataset the process parses. Predictions are open text
+that rarely repeats from one file to the next, so a prediction file's equal
+predictions share one string through a dict kept for that parse alone;
+interning them would grow the process-wide intern table with strings no
+later parse looks up. A record's extras are a read-only dict,
 and within one parse the records whose extras are equal share one: equal
 in key order, in each value and in each value's type, where every value is
 a str, int, bool or None. The JSON text of such a value is fixed by its
@@ -44,8 +48,10 @@ TASKS = ("audio", "visual", "avqa")
 
 # Decodes a line that is one JSON value and its "\n", with nothing around
 # them; any other line goes through json.loads, so every line gets the
-# standard library's result or its error.
-_raw_decode = json.JSONDecoder().raw_decode
+# standard library's result or its error. This is the scanner that
+# JSONDecoder.raw_decode wraps, called without the wrapper: it raises
+# StopIteration where raw_decode raises "Expecting value".
+_scan_once = json.JSONDecoder().scan_once
 # json.dumps(obj, ensure_ascii=False), without building an encoder per call.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 # Popped in place of a field the line does not have.
@@ -131,12 +137,14 @@ class QARecord:
 @dataclass
 class DatasetManifest:
     """Ordered records plus the (task, question_type) groups built from them,
-    groups and members in first-seen order."""
+    groups and members in first-seen order. The records are taken from any
+    iterable and kept as a tuple."""
 
-    records: list[QARecord]
+    records: tuple[QARecord, ...]
     groups: dict[GroupKey, list[QARecord]] = field(init=False)
 
     def __post_init__(self):
+        self.records = tuple(self.records)
         groups: dict[GroupKey, list[QARecord]] = {}
         for rec in self.records:
             key = (rec.task, rec.question_type)
@@ -247,9 +255,9 @@ def _iter_json_lines(path: str | Path):
             except UnicodeDecodeError as exc:
                 raise DatasetError(f"line {line_no}: invalid UTF-8 ({exc.reason})") from exc
             try:
-                raw, end = _raw_decode(line)
+                raw, end = _scan_once(line, 0)
                 rest = line[end:]
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, StopIteration):
                 rest = None
             if rest not in ("\n", ""):
                 line = line.removesuffix("\n")
@@ -305,9 +313,11 @@ def parse_predictions(path: str | Path) -> dict[str, str]:
 
     One record per non-empty line, kept in file order; duplicate ids
     within one file are an error, as is a line without a 'prediction'
-    field. Equal predictions share one interned string.
+    field. Equal predictions share one string, through a dict local to
+    this parse.
     """
     preds: dict[str, str] = {}
+    shared: dict[str, str] = {}
     for line_no, raw in _iter_json_lines(path):
         rec_id = raw.get("id", _MISSING)
         if type(rec_id) is not str:
@@ -318,7 +328,7 @@ def parse_predictions(path: str | Path) -> dict[str, str]:
         if rec_id in preds:
             first = _first_line_of(path, rec_id)
             raise DatasetError(f"duplicate id {rec_id!r} on lines {first} and {line_no}")
-        preds[rec_id] = sys.intern(prediction)
+        preds[rec_id] = shared.setdefault(prediction, prediction)
     return preds
 
 

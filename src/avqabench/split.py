@@ -23,7 +23,9 @@ counts are broken by ascending answer label so that identical inputs
 always yield identical splits.
 
 A SplitAssignment derives its labels from the manifest it is built from,
-and a stage handed a split of another dataset raises. write_split writes
+together with each record's head/tail cell, so that scoring, sampling and
+the distribution report read one column instead of re-deriving a key per
+record; a stage handed a split of another dataset raises. write_split writes
 a split as indented JSON; load_split reads one back only if rebuilding the
 split from its dataset gives the same text.
 """
@@ -35,6 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -43,6 +46,8 @@ from .records import DatasetManifest, GroupKey
 MODES = ("conformal", "legacy")
 LEGACY_MULTIPLIER = Fraction(6, 5)
 BALANCED_ENTROPY = 0.9
+# a record's part of its group, indexed by whether its answer is tail
+_PARTS = ("head", "tail")
 
 # the split file's JSON format, shared by write_split and load_split
 _ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
@@ -82,30 +87,54 @@ class SplitConfig:
 
 @dataclass
 class SplitAssignment:
-    """The per-group solutions of the manifest it keeps, and `labels`: each
-    record id in file order, "head" iff the record's answer is in its group's
-    head set. An unsolved group or a repeated record id is an error."""
+    """The per-group solutions of the manifest it keeps, and what they make
+    of its records, derived in one walk over them:
+
+    * `labels`: each record id in file order, "head" iff the record's answer
+      is in its group's head set;
+    * `cell_keys`: the (task, question_type, head|tail) cells that hold a
+      record, sorted;
+    * `cells`: each record's index into `cell_keys`, in file order.
+
+    An unsolved group or a repeated record id is an error."""
 
     manifest: DatasetManifest = field(compare=False, repr=False)
     solutions: list[SplitSolution]
     labels: dict[str, str] = field(init=False)
+    cell_keys: tuple[tuple[str, str, str], ...] = field(init=False)
+    cells: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         head_sets = {sol.key: set(sol.head_answers) for sol in self.solutions}
         for key in self.manifest.groups:
             if key not in head_sets:
                 raise ValueError(f"group ({key.task}, {key.question_type}) has no split solution")
+        # group i of the sorted keys owns cells 2i (head) and 2i + 1 (tail),
+        # numbered in the sorted order of their keys
+        keys = sorted(self.manifest.groups)
+        where = {key: (head_sets[key], 2 * i) for i, key in enumerate(keys)}
         records = self.manifest.records
-        self.labels = {
-            rec.id: "head" if rec.answer in head_sets[rec.task, rec.question_type] else "tail"
-            for rec in records
-        }
-        if len(self.labels) != len(records):
+        labels: dict[str, str] = {}
+        cells = []
+        for rec in records:
+            head, cell = where[rec.task, rec.question_type]
+            tail = rec.answer not in head
+            labels[rec.id] = _PARTS[tail]
+            cells.append(cell + tail)
+        if len(labels) != len(records):
             seen: set[str] = set()
             for rec in records:
                 if rec.id in seen:
                     raise ValueError(f"dataset repeats the id {rec.id!r}")
                 seen.add(rec.id)
+        self.labels = labels
+        # renumber to the cells that hold a record
+        present = sorted(set(cells))
+        self.cell_keys = tuple((*keys[cell // 2], _PARTS[cell % 2]) for cell in present)
+        rank = [0] * (2 * len(keys))
+        for i, cell in enumerate(present):
+            rank[cell] = i
+        self.cells = tuple(map(rank.__getitem__, cells))
 
     def labels_for(self, manifest: DatasetManifest) -> dict[str, str]:
         """`labels`, once `manifest` is checked to be the dataset this split
@@ -254,8 +283,9 @@ def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     return 0.5 * math.fsum(abs(p.get(a, 0.0) - q.get(a, 0.0)) for a in support)
 
 
-def _frequencies(labels: list[str]) -> dict[str, float]:
-    return {a: c / len(labels) for a, c in Counter(labels).items()}
+def _frequencies(counts: Counter) -> dict[str, float]:
+    total = counts.total()
+    return {a: c / total for a, c in counts.items()}
 
 
 def distribution_report(
@@ -272,27 +302,30 @@ def distribution_report(
     rather than fatal; an empty tail yields a null TV. A split of another
     dataset is an error.
     """
-    labels = assignment.labels_for(manifest)
+    assignment.labels_for(manifest)  # raises on a split of another dataset
+    cell_keys = assignment.cell_keys
+    tallies = {cell_key: Counter() for cell_key in cell_keys}
+    answers = map(attrgetter("answer"), manifest.records)
+    for (cell, answer), count in Counter(zip(assignment.cells, answers)).items():
+        tallies[cell_keys[cell]][answer] = count
     groups = []
     for sol in assignment.solutions:
         key = sol.key
-        head_answers: list[str] = []
-        tail_answers: list[str] = []
-        for rec in manifest.groups.get(key, ()):
-            (head_answers if labels[rec.id] == "head" else tail_answers).append(rec.answer)
+        head = tallies.get((*key, "head"), Counter())
+        tail = tallies.get((*key, "tail"), Counter())
         in_reference = key in reference.groups
-        ref_answers = [rec.answer for rec in reference.groups.get(key, ())]
-        ref_freq = _frequencies(ref_answers)
-        head_freq = _frequencies(head_answers)
-        tail_freq = _frequencies(tail_answers)
+        ref = Counter(rec.answer for rec in reference.groups.get(key, ()))
+        ref_freq = _frequencies(ref)
+        head_freq = _frequencies(head)
+        tail_freq = _frequencies(tail)
         groups.append(
             {
                 "task": key.task,
                 "question_type": key.question_type,
                 "missing_in_reference": not in_reference,
-                "reference_total": len(ref_answers),
-                "head_total": len(head_answers),
-                "tail_total": len(tail_answers),
+                "reference_total": ref.total(),
+                "head_total": head.total(),
+                "tail_total": tail.total(),
                 "reference_freq": dict(sorted(ref_freq.items())),
                 "head_freq": dict(sorted(head_freq.items())),
                 "tail_freq": dict(sorted(tail_freq.items())),

@@ -421,6 +421,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="C >= 2"):
             batch_loss_and_grad(np.zeros((4, 3, 1)), np.zeros(3, dtype=int), DebiasConfig())
 
+    def test_batch_rejects_an_empty_batch(self):
+        with pytest.raises(ValueError) as info:
+            batch_loss_and_grad(np.zeros((4, 0, 3)), np.zeros(0, dtype=int), DebiasConfig())
+        assert str(info.value) == "expected a batch of n >= 1 samples, got n = 0"
+
     @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False])])
     def test_batch_rejects_labels_that_are_not_integers(self, labels):
         with pytest.raises(ValueError) as info:

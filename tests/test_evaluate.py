@@ -116,6 +116,23 @@ class TestAccuracyReport:
         with pytest.raises(ValueError, match="zz"):
             accuracy_report(manifest, assignment, preds)
 
+    @pytest.mark.parametrize("bad", [None, 2, b"two", ["two"]])
+    def test_a_prediction_that_is_not_a_string_is_named(self, bad):
+        manifest, assignment, preds = fixture_manifest_and_preds()
+        # the first in file order is named: a2, though a4 comes first in the dict
+        preds = {"a4": 4, "a1": preds["a1"], "a2": bad, "a3": preds["a3"]}
+        with pytest.raises(ValueError) as info:
+            accuracy_report(manifest, assignment, preds)
+        assert str(info.value) == f"prediction for 'a2' must be a string, got {type(bad).__name__}"
+
+    def test_an_unpaired_id_is_reported_before_a_non_string_prediction(self):
+        manifest, assignment, preds = fixture_manifest_and_preds()
+        preds["a1"] = None
+        del preds["a4"]
+        preds["zz"] = "two"
+        with pytest.raises(ValueError, match="gold/prediction mismatch"):
+            accuracy_report(manifest, assignment, preds)
+
     def test_repeated_gold_id_is_an_error(self):
         # six distinct ids, q1 passed twice: scoring it would count 7
         records = [

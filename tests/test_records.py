@@ -249,6 +249,17 @@ def test_extras_keep_their_key_order(write_jsonl, tmp_path):
     assert out.read_bytes() == path.read_bytes()
 
 
+def test_records_are_a_tuple_that_cannot_grow(write_jsonl):
+    manifest = parse_dataset(write_jsonl([qa_row(1), qa_row(2)]))
+    assert type(manifest.records) is tuple
+    with pytest.raises(AttributeError):
+        manifest.records.append(QARecord("q3", "avqa", "Counting", "?", "one"))
+    # any iterable of records builds a manifest
+    rebuilt = DatasetManifest(rec for rec in manifest.records)
+    assert rebuilt.records == manifest.records
+    assert rebuilt == manifest
+
+
 def test_parse_groups_match_from_records(write_jsonl):
     rows = [qa_row(i, task=["audio", "visual"][i % 2], qtype=["Counting", "Location"][i % 3 > 0])
             for i in range(9)]
@@ -523,6 +534,19 @@ def test_equal_predictions_share_one_string(tmp_path):
     path.write_text("".join(json.dumps({"id": f"q{i}", "prediction": "cello"}) + "\n" for i in range(3)))
     preds = parse_predictions(path)
     assert preds["q0"] is preds["q1"] is preds["q2"]
+
+
+def test_predictions_are_shared_within_a_parse_but_not_interned(tmp_path):
+    # predictions are open text, so a parse keeps them out of the
+    # process-wide intern table
+    text = "a free-text prediction no other parse has seen"
+    path = tmp_path / "preds.jsonl"
+    path.write_text("".join(json.dumps({"id": f"q{i}", "prediction": text}) + "\n" for i in range(2)))
+    preds = parse_predictions(path)
+    assert preds["q0"] is preds["q1"]
+    equal = "".join(list(text))
+    assert equal is not preds["q0"]
+    assert sys.intern(equal) is not preds["q0"]
 
 
 def test_predictions_empty_file(tmp_path):

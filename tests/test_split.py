@@ -256,6 +256,19 @@ class TestAssignment:
             expected = "head" if rec.answer in sol.head_answers else "tail"
             assert assignment.labels[rec.id] == expected
 
+    @settings(max_examples=60)
+    @given(manifest=multi_group_manifests(), mode=st.sampled_from(MODES))
+    @example(manifest=_manifest_from_counts({"x": 7, "y": 2, "z": 1}), mode="legacy")
+    def test_cell_column_names_each_record_cell_in_file_order(self, manifest, mode):
+        assignment = build_assignment(manifest, SplitConfig(mode=mode))
+        keys = assignment.cell_keys
+        assert list(keys) == sorted(set(keys))
+        assert len(assignment.cells) == len(manifest.records)
+        for rec, cell in zip(manifest.records, assignment.cells):
+            assert keys[cell] == (rec.task, rec.question_type, assignment.labels[rec.id])
+        # every cell holds a record
+        assert set(assignment.cells) == set(range(len(keys)))
+
     def test_byte_identical_split_files(self, tmp_path):
         manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -468,9 +481,12 @@ class TestSplitFile:
 
 
 # 10 records in 2 groups: 6 of (avqa, Counting), then 4 of (visual, Location)
-TWO_GROUPS = _manifest_from_counts({"x": 4, "y": 2}).records + [
-    QARecord(id=f"v{i}", task="visual", question_type="Location", question="?", answer="l")
-    for i in range(4)
+TWO_GROUPS = [
+    *_manifest_from_counts({"x": 4, "y": 2}).records,
+    *(
+        QARecord(id=f"v{i}", task="visual", question_type="Location", question="?", answer="l")
+        for i in range(4)
+    ),
 ]
 
 STAGES = [

@@ -179,7 +179,8 @@ def accuracy_report(
     gold answer is normalized once, and the records whose normalized
     prediction equals their normalized gold answer are counted per cell.
     The ids and values are only checked in full when the counts disagree
-    or a lookup finds no string.
+    or a lookup finds no string. Cell sizes come from the split, and its
+    empty cells are left out.
     """
     guesses = list(map(preds.get, assignment.labels_for(manifest)))
     if len(preds) != len(guesses) or not set(map(type, guesses)) <= {str}:
@@ -189,13 +190,10 @@ def accuracy_report(
     guessed = {text: normalize_answer(text) for text in dict.fromkeys(guesses)}
     gold = {text: normalize_answer(text) for text in dict.fromkeys(golds)}
     hits = map(eq, map(guessed.__getitem__, guesses), map(gold.__getitem__, golds))
-    counts = Counter(assignment.cells)
     correct = Counter(compress(assignment.cells, hits))
+    sizes = zip(assignment.cell_keys, assignment.cell_sizes)
     return EvalReport(
-        cells={
-            key: CellStats(counts[cell], correct[cell])
-            for cell, key in enumerate(assignment.cell_keys)
-        }
+        cells={key: CellStats(size, correct[cell]) for cell, (key, size) in enumerate(sizes) if size}
     )
 
 

@@ -13,10 +13,12 @@ its own. A string may hold any other line or paragraph separator raw
 (U+2028, U+0085, form feed, ...), and a "\r" before the "\n" is JSON
 whitespace. Unknown extra fields on dataset records are preserved on
 round-trip but otherwise ignored. A DatasetManifest holds its records as a
-tuple and groups them by (task, question_type) when it is built: each group
-holds the record objects themselves, the same objects as the record tuple
-and in file order, so the groups cannot disagree with the records, and the
-tuple cannot gain or lose a record after a split has labelled them.
+tuple and counts each (task, question_type) group's answers when it is
+built, in one pass over the records, so the counts cannot disagree with the
+records, and the tuple cannot gain or lose a record after a split has
+labelled them. A rephrase_of reference must name a record of the same
+dataset, and following the references from any record must end at a record
+without one: a cycle has no original question.
 
 Labels come from small closed sets and repeat across many records, so the
 records of a dataset share their task, question_type, answer and video_id
@@ -40,7 +42,9 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
@@ -136,22 +140,19 @@ class QARecord:
 
 @dataclass
 class DatasetManifest:
-    """Ordered records plus the (task, question_type) groups built from them,
-    groups and members in first-seen order. The records are taken from any
+    """Ordered records plus each (task, question_type) group's answer counts,
+    groups and answers in first-seen order. The records are taken from any
     iterable and kept as a tuple."""
 
     records: tuple[QARecord, ...]
-    groups: dict[GroupKey, list[QARecord]] = field(init=False)
+    groups: dict[GroupKey, Counter[str]] = field(init=False)
 
     def __post_init__(self):
         self.records = tuple(self.records)
-        groups: dict[GroupKey, list[QARecord]] = {}
-        for rec in self.records:
-            key = (rec.task, rec.question_type)
-            group = groups.get(key)
-            if group is None:
-                groups[GroupKey(*key)] = group = []
-            group.append(rec)
+        counts = Counter(map(attrgetter("task", "question_type", "answer"), self.records))
+        groups: dict[GroupKey, Counter[str]] = {}
+        for (task, question_type, answer), count in counts.items():
+            groups.setdefault(GroupKey(task, question_type), Counter())[answer] = count
         self.groups = groups
 
     def __len__(self) -> int:
@@ -285,8 +286,9 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
     """Parse a line-delimited dataset file into a manifest.
 
     Raises DatasetError naming the offending line for malformed lines,
-    duplicate ids (both occurrences are named), and dangling rephrase_of
-    references. Record order is preserved.
+    duplicate ids (both occurrences are named), dangling rephrase_of
+    references and rephrase_of cycles (the cycle's first line is named).
+    Record order is preserved.
     """
     records: list[QARecord] = []
     seen: set[str] = set()
@@ -299,12 +301,32 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
         seen.add(rec.id)
         records.append(rec)
 
-    for rec in records:
-        if rec.rephrase_of is not None and rec.rephrase_of not in seen:
-            raise DatasetError(
-                f"line {_first_line_of(path, rec.id)}: rephrase_of {rec.rephrase_of!r} "
-                "does not reference an id in this dataset"
-            )
+    rephrased = {rec.id: rec.rephrase_of for rec in records if rec.rephrase_of is not None}
+    if not seen.issuperset(rephrased.values()):
+        rec_id = next(rec_id for rec_id, target in rephrased.items() if target not in seen)
+        raise DatasetError(
+            f"line {_first_line_of(path, rec_id)}: rephrase_of {rephrased[rec_id]!r} "
+            "does not reference an id in this dataset"
+        )
+    # Every record on a cycle is both rephrased and a rephrasing. If some
+    # are, follow each chain until it ends at a record without rephrase_of,
+    # or at one an earlier walk reached; a walk that meets itself is a cycle.
+    if not rephrased.keys().isdisjoint(rephrased.values()):
+        walked: dict[str, int] = {}
+        for walk, rec_id in enumerate(rephrased):
+            while rec_id in rephrased and rec_id not in walked:
+                walked[rec_id] = walk
+                rec_id = rephrased[rec_id]
+            if walked.get(rec_id) == walk:
+                cycle = [rec_id]
+                while rephrased[cycle[-1]] != rec_id:
+                    cycle.append(rephrased[cycle[-1]])
+                first = next(filter(set(cycle).__contains__, rephrased))
+                start = cycle.index(first)
+                cycle = cycle[start:] + cycle[: start + 1]
+                raise DatasetError(
+                    f"line {_first_line_of(path, first)}: rephrase_of cycle {' -> '.join(cycle)}"
+                )
     return DatasetManifest(records)
 
 

@@ -22,12 +22,14 @@ each), and does not depend on the logarithm base. Ties between equal
 counts are broken by ascending answer label so that identical inputs
 always yield identical splits.
 
-A SplitAssignment derives its labels from the manifest it is built from,
-together with each record's head/tail cell, so that scoring, sampling and
-the distribution report read one column instead of re-deriving a key per
-record; a stage handed a split of another dataset raises. write_split writes
-a split as indented JSON; load_split reads one back only if rebuilding the
-split from its dataset gives the same text.
+The manifest keeps each group's answer counts: build_assignment hands them
+to the rule, distribution_report splits them by the head set, and a
+SplitAssignment derives each cell's size from them, and each record's cell
+and label through a table from each distinct (task, question_type, answer)
+to its cell, so that scoring and sampling read one column; a stage handed a
+split of another dataset raises. write_split writes a split as indented JSON;
+load_split reads one back only if rebuilding the split from its dataset
+gives the same text.
 """
 
 from __future__ import annotations
@@ -88,53 +90,58 @@ class SplitConfig:
 @dataclass
 class SplitAssignment:
     """The per-group solutions of the manifest it keeps, and what they make
-    of its records, derived in one walk over them:
+    of its records, derived from the manifest's answer counts:
 
+    * `cell_keys`: the (task, question_type, head|tail) cells of every
+      group, sorted; group i of the sorted group keys has cells 2i (head)
+      and 2i + 1 (tail), either of which may be empty;
+    * `cell_sizes`: the number of records in each cell;
+    * `cells`: each record's index into `cell_keys`, in file order;
     * `labels`: each record id in file order, "head" iff the record's answer
-      is in its group's head set;
-    * `cell_keys`: the (task, question_type, head|tail) cells that hold a
-      record, sorted;
-    * `cells`: each record's index into `cell_keys`, in file order.
+      is in its group's head set.
 
-    An unsolved group or a repeated record id is an error."""
+    An unsolved group, a group solved twice or a repeated record id is an
+    error."""
 
     manifest: DatasetManifest = field(compare=False, repr=False)
     solutions: list[SplitSolution]
     labels: dict[str, str] = field(init=False)
     cell_keys: tuple[tuple[str, str, str], ...] = field(init=False)
+    cell_sizes: tuple[int, ...] = field(init=False)
     cells: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        head_sets = {sol.key: set(sol.head_answers) for sol in self.solutions}
-        for key in self.manifest.groups:
+        head_sets: dict[GroupKey, frozenset[str]] = {}
+        for sol in self.solutions:
+            if sol.key in head_sets:
+                raise ValueError(f"group ({sol.key.task}, {sol.key.question_type}) is solved twice")
+            head_sets[sol.key] = frozenset(sol.head_answers)
+        groups = self.manifest.groups
+        for key in groups:
             if key not in head_sets:
                 raise ValueError(f"group ({key.task}, {key.question_type}) has no split solution")
-        # group i of the sorted keys owns cells 2i (head) and 2i + 1 (tail),
-        # numbered in the sorted order of their keys
-        keys = sorted(self.manifest.groups)
-        where = {key: (head_sets[key], 2 * i) for i, key in enumerate(keys)}
+        keys = sorted(groups)
+        self.cell_keys = tuple((*key, part) for key in keys for part in _PARTS)
+        # each distinct (task, question_type, answer) to its cell, once
+        cell_of: dict[tuple[str, str, str], int] = {}
+        sizes = [0] * len(self.cell_keys)
+        for i, key in enumerate(keys):
+            for answer, count in groups[key].items():
+                cell = 2 * i + (answer not in head_sets[key])
+                cell_of[(*key, answer)] = cell
+                sizes[cell] += count
+        self.cell_sizes = tuple(sizes)
         records = self.manifest.records
-        labels: dict[str, str] = {}
-        cells = []
-        for rec in records:
-            head, cell = where[rec.task, rec.question_type]
-            tail = rec.answer not in head
-            labels[rec.id] = _PARTS[tail]
-            cells.append(cell + tail)
-        if len(labels) != len(records):
+        triples = map(attrgetter("task", "question_type", "answer"), records)
+        self.cells = tuple(map(cell_of.__getitem__, triples))
+        parts = map((_PARTS * len(keys)).__getitem__, self.cells)
+        self.labels = dict(zip(map(attrgetter("id"), records), parts))
+        if len(self.labels) != len(records):
             seen: set[str] = set()
             for rec in records:
                 if rec.id in seen:
                     raise ValueError(f"dataset repeats the id {rec.id!r}")
                 seen.add(rec.id)
-        self.labels = labels
-        # renumber to the cells that hold a record
-        present = sorted(set(cells))
-        self.cell_keys = tuple((*keys[cell // 2], _PARTS[cell % 2]) for cell in present)
-        rank = [0] * (2 * len(keys))
-        for i, cell in enumerate(present):
-            rank[cell] = i
-        self.cells = tuple(map(rank.__getitem__, cells))
 
     def labels_for(self, manifest: DatasetManifest) -> dict[str, str]:
         """`labels`, once `manifest` is checked to be the dataset this split
@@ -269,8 +276,7 @@ def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAss
         raise ValueError(f"unknown split mode {config.mode!r}; expected one of {MODES}")
     rule = conformal_split if config.mode == "conformal" else legacy_split
     groups = manifest.groups
-    solutions = [rule(key, Counter(r.answer for r in groups[key])) for key in sorted(groups)]
-    return SplitAssignment(manifest, solutions)
+    return SplitAssignment(manifest, [rule(key, groups[key]) for key in sorted(groups)])
 
 
 def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
@@ -303,18 +309,14 @@ def distribution_report(
     dataset is an error.
     """
     assignment.labels_for(manifest)  # raises on a split of another dataset
-    cell_keys = assignment.cell_keys
-    tallies = {cell_key: Counter() for cell_key in cell_keys}
-    answers = map(attrgetter("answer"), manifest.records)
-    for (cell, answer), count in Counter(zip(assignment.cells, answers)).items():
-        tallies[cell_keys[cell]][answer] = count
     groups = []
     for sol in assignment.solutions:
         key = sol.key
-        head = tallies.get((*key, "head"), Counter())
-        tail = tallies.get((*key, "tail"), Counter())
+        head, tail = Counter(), Counter()
+        for answer, count in manifest.groups.get(key, {}).items():
+            (head if answer in sol.head_answers else tail)[answer] = count
         in_reference = key in reference.groups
-        ref = Counter(rec.answer for rec in reference.groups.get(key, ()))
+        ref = reference.groups.get(key, Counter())
         ref_freq = _frequencies(ref)
         head_freq = _frequencies(head)
         tail_freq = _frequencies(tail)

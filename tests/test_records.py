@@ -6,6 +6,7 @@ import json
 import pickle
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,10 +36,12 @@ def test_parse_three_line_file(write_jsonl):
     manifest = parse_dataset(path)
     assert len(manifest) == 3
     assert [r.id for r in manifest.records] == ["q1", "q2", "q3"]
-    assert {key: [rec.id for rec in group] for key, group in manifest.groups.items()} == {
-        GroupKey("audio", "Counting"): ["q1", "q2"],
-        GroupKey("visual", "Location"): ["q3"],
-    }
+    # each group's answer counts, groups and answers in first-seen order
+    assert list(manifest.groups.items()) == [
+        (GroupKey("audio", "Counting"), Counter({"one": 1, "two": 1})),
+        (GroupKey("visual", "Location"), Counter({"left": 1})),
+    ]
+    assert list(manifest.groups[("audio", "Counting")]) == ["one", "two"]
 
 
 def test_duplicate_id_names_both_lines(write_jsonl):
@@ -108,6 +111,33 @@ def test_rephrase_of_must_resolve(write_jsonl):
     path = write_jsonl([qa_row(1), qa_row(2, rephrase_of="q1")], name="ok.jsonl")
     manifest = parse_dataset(path)
     assert manifest.records[1].rephrase_of == "q1"
+
+
+# (rephrase_of of q1, q2, ...), and the error that names the cycle's first line
+REPHRASE_CYCLES = {
+    "self-reference": ([None, None, "q3"], "line 3: rephrase_of cycle q3 -> q3"),
+    "2-cycle": (["q2", "q1"], "line 1: rephrase_of cycle q1 -> q2 -> q1"),
+    # q2 -> q1 and q3 -> q2 end at q1; q4 enters the cycle at q6, after q5
+    "3-cycle reached from a chain": (
+        [None, "q1", "q2", "q6", "q7", "q5", "q6"],
+        "line 5: rephrase_of cycle q5 -> q7 -> q6 -> q5",
+    ),
+}
+
+
+@pytest.mark.parametrize("targets, message", REPHRASE_CYCLES.values(), ids=REPHRASE_CYCLES)
+def test_rephrase_of_cycle_is_rejected_naming_its_first_line(write_jsonl, targets, message):
+    path = write_jsonl([qa_row(i, rephrase_of=t) for i, t in enumerate(targets, start=1)])
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(path)
+    assert str(info.value) == message
+
+
+def test_chains_that_meet_are_not_a_cycle(write_jsonl):
+    # q5 -> q4 -> q3 -> q1 <- q2
+    targets = [None, "q1", "q1", "q3", "q4"]
+    path = write_jsonl([qa_row(i, rephrase_of=t) for i, t in enumerate(targets, start=1)])
+    assert [rec.rephrase_of for rec in parse_dataset(path).records] == targets
 
 
 def test_extra_fields_preserved_on_round_trip(write_jsonl, tmp_path):
@@ -277,7 +307,8 @@ def test_groups_are_built_from_the_records_and_cannot_be_passed():
     ]
     manifest = DatasetManifest(records)
     assert list(manifest.groups) == [("audio", "Counting"), ("visual", "Counting")]
-    assert manifest.groups[("audio", "Counting")] == [records[0], records[2]]
+    assert manifest.groups[("audio", "Counting")] == Counter({"a": 2})
+    assert all(type(group) is Counter for group in manifest.groups.values())
     with pytest.raises(TypeError):
         DatasetManifest(records, groups={})
 
@@ -574,8 +605,9 @@ def test_grouping_partitions_record_ids(ids, tasks, qtypes):
         for i, t, qt in zip(ids, tasks, qtypes)
     ]
     manifest = DatasetManifest(records)
-    members = [rec for group in manifest.groups.values() for rec in group]
-    # groups hold the record objects themselves, each exactly once
-    assert sorted(map(id, members)) == sorted(map(id, records))
+    # each record is counted once, in its own group
+    assert {key: group.total() for key, group in manifest.groups.items()} == Counter(
+        (rec.task, rec.question_type) for rec in records
+    )
     # rebuilding from the same records yields identical grouping
     assert DatasetManifest(records).groups == manifest.groups

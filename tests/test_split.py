@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -262,12 +263,60 @@ class TestAssignment:
     def test_cell_column_names_each_record_cell_in_file_order(self, manifest, mode):
         assignment = build_assignment(manifest, SplitConfig(mode=mode))
         keys = assignment.cell_keys
+        # group i of the sorted group keys has cells 2i (head) and 2i + 1 (tail)
+        groups = sorted(manifest.groups)
+        assert keys == tuple((*key, part) for key in groups for part in ("head", "tail"))
         assert list(keys) == sorted(set(keys))
         assert len(assignment.cells) == len(manifest.records)
         for rec, cell in zip(manifest.records, assignment.cells):
             assert keys[cell] == (rec.task, rec.question_type, assignment.labels[rec.id])
-        # every cell holds a record
-        assert set(assignment.cells) == set(range(len(keys)))
+            assert cell // 2 == groups.index((rec.task, rec.question_type))
+
+    @settings(max_examples=60)
+    @given(
+        manifest=multi_group_manifests(),
+        reference=multi_group_manifests(),
+        mode=st.sampled_from(MODES),
+    )
+    def test_counts_match_a_walk_over_the_records(self, manifest, reference, mode):
+        def tally(records, part=lambda rec: None):
+            counts = {}
+            for rec in records:
+                cell = (rec.task, rec.question_type, part(rec))
+                counts.setdefault(cell, Counter())[rec.answer] += 1
+            return counts
+
+        # groups, and the answers within each, in first-seen order
+        groups = tally(manifest.records)
+        assert [(key, list(group.items())) for key, group in manifest.groups.items()] == [
+            ((task, qtype), list(group.items())) for (task, qtype, _), group in groups.items()
+        ]
+        assignment = build_assignment(manifest, SplitConfig(mode=mode))
+        assert assignment.cell_sizes == tuple(
+            Counter(assignment.cells)[cell] for cell in range(len(assignment.cell_keys))
+        )
+        head_sets = {sol.key: sol.head_answers for sol in assignment.solutions}
+
+        def part(rec):
+            return "head" if rec.answer in head_sets[rec.task, rec.question_type] else "tail"
+
+        cells = tally(manifest.records, part)
+        ref = {key[:2]: counts for key, counts in tally(reference.records).items()}
+        report = distribution_report(manifest, assignment, reference)
+        assert [(g["task"], g["question_type"]) for g in report["groups"]] == sorted(manifest.groups)
+        for group in report["groups"]:
+            key = (group["task"], group["question_type"])
+            for name, counts in [
+                ("head", cells.get((*key, "head"), Counter())),
+                ("tail", cells.get((*key, "tail"), Counter())),
+                ("reference", ref.get(key, Counter())),
+            ]:
+                total = sum(counts.values())
+                assert group[f"{name}_total"] == total
+                assert list(group[f"{name}_freq"].items()) == [
+                    (a, c / total) for a, c in sorted(counts.items())
+                ]
+            assert group["missing_in_reference"] == (key not in ref)
 
     def test_byte_identical_split_files(self, tmp_path):
         manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
@@ -520,6 +569,14 @@ class TestBinding:
         with pytest.raises(ValueError) as info:
             SplitAssignment(manifest, [counting])
         assert str(info.value) == "group (visual, Location) has no split solution"
+
+    def test_a_group_solved_twice_is_an_error(self):
+        manifest = DatasetManifest(TWO_GROUPS)
+        counting, location = build_assignment(manifest, SplitConfig()).solutions
+        again = replace(counting, head_answers=("y",), tail_answers=("x",))
+        with pytest.raises(ValueError) as info:
+            SplitAssignment(manifest, [counting, location, again])
+        assert str(info.value) == "group (avqa, Counting) is solved twice"
 
     @pytest.mark.parametrize("stage", STAGES)
     @pytest.mark.parametrize("built_from, given", OTHER_DATASETS.values(), ids=OTHER_DATASETS)

@@ -22,14 +22,15 @@ each), and does not depend on the logarithm base. Ties between equal
 counts are broken by ascending answer label so that identical inputs
 always yield identical splits.
 
-The manifest keeps each group's answer counts: build_assignment hands them
-to the rule, distribution_report splits them by the head set, and a
-SplitAssignment derives each cell's size from them, and each record's cell
-and label through a table from each distinct (task, question_type, answer)
-to its cell, so that scoring and sampling read one column; a stage handed a
-split of another dataset raises. write_split writes a split as indented JSON;
-load_split reads one back only if rebuilding the split from its dataset
-gives the same text.
+A split is a function of its dataset and mode: SplitAssignment(manifest,
+mode) hands each group's answer counts, kept by the manifest, to the mode's
+rule, and derives each cell's size from them, and each record's cell and
+label through a table from each distinct (task, question_type, answer) to
+its cell, so that scoring and sampling read one column; a stage handed a
+split of another dataset raises. distribution_report splits the counts by
+the head set. write_split writes a split as indented JSON. Nothing reads a
+split file back: rebuilding the split from its dataset and mode gives the
+same text.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ BALANCED_ENTROPY = 0.9
 # a record's part of its group, indexed by whether its answer is tail
 _PARTS = ("head", "tail")
 
-# the split file's JSON format, shared by write_split and load_split
+# the split file's JSON format
 _ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
 
 
@@ -89,9 +90,11 @@ class SplitConfig:
 
 @dataclass
 class SplitAssignment:
-    """The per-group solutions of the manifest it keeps, and what they make
-    of its records, derived from the manifest's answer counts:
+    """The split of the manifest it keeps under `mode`, one of MODES, and
+    what it makes of the records, derived from the manifest's answer counts:
 
+    * `solutions`: the mode's rule applied to every group, in sorted group-key
+      order;
     * `cell_keys`: the (task, question_type, head|tail) cells of every
       group, sorted; group i of the sorted group keys has cells 2i (head)
       and 2i + 1 (tail), either of which may be empty;
@@ -100,34 +103,30 @@ class SplitAssignment:
     * `labels`: each record id in file order, "head" iff the record's answer
       is in its group's head set.
 
-    An unsolved group, a group solved twice or a repeated record id is an
-    error."""
+    An unknown mode or a repeated record id is an error."""
 
     manifest: DatasetManifest = field(compare=False, repr=False)
-    solutions: list[SplitSolution]
+    mode: str
+    solutions: list[SplitSolution] = field(init=False)
     labels: dict[str, str] = field(init=False)
     cell_keys: tuple[tuple[str, str, str], ...] = field(init=False)
     cell_sizes: tuple[int, ...] = field(init=False)
     cells: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        head_sets: dict[GroupKey, frozenset[str]] = {}
-        for sol in self.solutions:
-            if sol.key in head_sets:
-                raise ValueError(f"group ({sol.key.task}, {sol.key.question_type}) is solved twice")
-            head_sets[sol.key] = frozenset(sol.head_answers)
+        if self.mode not in MODES:
+            raise ValueError(f"unknown split mode {self.mode!r}; expected one of {MODES}")
+        rule = conformal_split if self.mode == "conformal" else legacy_split
         groups = self.manifest.groups
-        for key in groups:
-            if key not in head_sets:
-                raise ValueError(f"group ({key.task}, {key.question_type}) has no split solution")
         keys = sorted(groups)
+        self.solutions = [rule(key, groups[key]) for key in keys]
         self.cell_keys = tuple((*key, part) for key in keys for part in _PARTS)
         # each distinct (task, question_type, answer) to its cell, once
         cell_of: dict[tuple[str, str, str], int] = {}
         sizes = [0] * len(self.cell_keys)
-        for i, key in enumerate(keys):
+        for i, (key, sol) in enumerate(zip(keys, self.solutions)):
             for answer, count in groups[key].items():
-                cell = 2 * i + (answer not in head_sets[key])
+                cell = 2 * i + (answer not in sol.head_answers)
                 cell_of[(*key, answer)] = cell
                 sizes[cell] += count
         self.cell_sizes = tuple(sizes)
@@ -265,18 +264,14 @@ def legacy_split(key: GroupKey, counts: Mapping[str, int]) -> SplitSolution:
 
 
 def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAssignment:
-    """Split every group with the configured mode; the split labels each record.
+    """SplitAssignment(manifest, config.mode): every group split with the
+    configured mode, and each record labelled.
 
-    Groups are split in sorted group-key order. Balanced groups
-    (normalized entropy at or above BALANCED_ENTROPY) are split like any
-    other but carry balanced=True in their solution. A repeated record id
-    is an error.
+    Balanced groups (normalized entropy at or above BALANCED_ENTROPY) are
+    split like any other but carry balanced=True in their solution. An
+    unknown mode or a repeated record id is an error.
     """
-    if config.mode not in MODES:
-        raise ValueError(f"unknown split mode {config.mode!r}; expected one of {MODES}")
-    rule = conformal_split if config.mode == "conformal" else legacy_split
-    groups = manifest.groups
-    return SplitAssignment(manifest, [rule(key, groups[key]) for key in sorted(groups)])
+    return SplitAssignment(manifest, config.mode)
 
 
 def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
@@ -313,7 +308,7 @@ def distribution_report(
     for sol in assignment.solutions:
         key = sol.key
         head, tail = Counter(), Counter()
-        for answer, count in manifest.groups.get(key, {}).items():
+        for answer, count in manifest.groups[key].items():
             (head if answer in sol.head_answers else tail)[answer] = count
         in_reference = key in reference.groups
         ref = reference.groups.get(key, Counter())
@@ -352,30 +347,3 @@ def write_split(assignment: SplitAssignment, path: str | Path) -> None:
         out.writelines(_ENCODER.iterencode(assignment.to_dict()))
         out.write("\n")
 
-
-def load_split(path: str | Path, manifest: DatasetManifest) -> SplitAssignment:
-    """Read back the split that write_split wrote for this manifest.
-
-    A split is a pure function of the dataset and the mode, so the file is
-    checked by rebuilding it: it must match, line by line, what write_split
-    writes for build_assignment(manifest, SplitConfig(mode)) for a mode in
-    MODES, whose assignment is returned. Otherwise a ValueError names the
-    first line that differs from the mode matching more leading lines, with
-    both lines cut to 80 characters.
-
-    The match is exact, CRLF aside: a re-serialized file is rejected, and
-    so is a float whose last bit differs under another libm's log2. Lines
-    break at LF alone, so a U+2028 in an answer keeps its line number.
-    """
-    found = Path(path).read_text(encoding="utf-8").split("\n")
-    mismatches = []
-    for mode in MODES:
-        assignment = build_assignment(manifest, SplitConfig(mode))
-        expected = (_ENCODER.encode(assignment.to_dict()) + "\n").split("\n")
-        if found == expected:
-            return assignment
-        same = [a == b for a, b in zip(found, expected)] + [False]
-        mismatches.append((same.index(False), expected))
-    i, expected = max(mismatches, key=lambda m: m[0])  # the first mode on a tie
-    shown = [repr(text[i][:80]) if i < len(text) else "end of file" for text in (found, expected)]
-    raise ValueError(f"split file: line {i + 1} is {shown[0]}, expected {shown[1]}")

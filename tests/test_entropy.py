@@ -1,4 +1,5 @@
-"""Entropy, normalized entropy, and the balance threshold."""
+"""`split.entropy` and `split.normalized_entropy`, the balance threshold, and
+the count checks the entropy functions and both split rules share."""
 
 import math
 import random

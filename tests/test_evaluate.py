@@ -13,7 +13,7 @@ from avqabench.records import (
     parse_dataset,
     parse_predictions,
 )
-from avqabench.split import SplitAssignment, SplitConfig, build_assignment
+from avqabench.split import SplitConfig, build_assignment
 from conftest import qa_row
 
 ANSWERS = ["two", "yes", "acoustic guitar", "Left", "cello."]
@@ -143,7 +143,7 @@ class TestAccuracyReport:
         # no split of it can be built, and a split of the six distinct records is another's
         distinct = build_assignment(DatasetManifest(records[:2] + records[3:]), SplitConfig())
         with pytest.raises(ValueError) as info:
-            SplitAssignment(manifest, distinct.solutions)
+            build_assignment(manifest, SplitConfig())
         assert str(info.value) == "dataset repeats the id 'q1'"
         preds = {f"q{i}": "x" for i in range(6)}
         with pytest.raises(ValueError) as info:

@@ -7,9 +7,15 @@ syntax tree, so a docstring, a comment or an assignment does not count.
 A target of `[project.scripts]` in `pyproject.toml` counts too. Tests do
 not: a name that only tests reach belongs in the test module that uses
 it. ENTRY_POINTS names the few kept for callers outside the repository.
+
+README's table of modules lists exactly these names: each module's row
+names its public defs and classes, and its constants unless the sentence
+on constants names them, and a row names nothing else but the fields and
+methods of the module's classes.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -18,9 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "avqabench"
 
 # qualified name -> why it stays public though nothing here calls it
-ENTRY_POINTS = {
-    "split.load_split": "checks a split file against the dataset it was built from",
-}
+ENTRY_POINTS: dict[str, str] = {}
 
 
 def _module_level_names(node: ast.stmt) -> list[str]:
@@ -46,6 +50,35 @@ def _public_definitions():
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def _class_members(module: str) -> set[str]:
+    """The names each class of a module binds in its body: fields and methods."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        for name in _module_level_names(item)
+    }
+
+
+def _readme_names() -> tuple[dict[str, set[str]], set[str]]:
+    """README's table of modules, as the names backticked in each module's
+    row, a call's arguments cut off; and the qualified names in the sentence
+    on constants, where a bare name belongs to the module named before it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for module, names in re.findall(r"^\| `(\w+)` \|(.*)\|$", text, re.MULTILINE):
+        rows[module] = {re.match(r"\w+", name)[0] for name in re.findall(r"`([^`]+)`", names)}
+    sentence = re.search(r"The public constants are (.*?)\.\s", text, re.DOTALL)
+    constants, module = set(), None
+    for name in re.findall(r"`([\w.]+)`", sentence[1]):
+        if "." in name:
+            module, name = name.split(".")
+        constants.add(f"{module}.{name}")
+    return rows, constants
 
 
 def _names_in(source: str) -> set[str]:
@@ -99,6 +132,30 @@ def test_entry_points_are_defined_and_reached_from_nowhere_else():
     reached = _reached_names()
     stale = [q for q in ENTRY_POINTS if q not in defined or defined[q] in reached]
     assert stale == []
+
+
+def test_readme_lists_every_public_name_of_each_module():
+    rows, constants = _readme_names()
+    unlisted = [
+        qualified
+        for qualified, name in _public_definitions()
+        if qualified.count(".") == 1
+        and name not in rows.get(qualified.split(".")[0], ())
+        and qualified not in constants
+    ]
+    assert unlisted == []
+
+
+def test_readme_lists_no_name_its_module_lacks():
+    rows, constants = _readme_names()
+    defined = {q for q, _ in _public_definitions() if q.count(".") == 1}
+    stale = [
+        f"{module}.{name}"
+        for module, names in rows.items()
+        for name in sorted(names - _class_members(module))
+        if f"{module}.{name}" not in defined
+    ]
+    assert stale + sorted(constants - defined) == []
 
 
 @pytest.mark.parametrize(

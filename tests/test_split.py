@@ -1,13 +1,13 @@
-"""Head/tail split rules (coverage-constrained and legacy multiplier) and split files."""
+"""Head/tail split rules (coverage-constrained and legacy multiplier), the split of a
+dataset, and split files."""
 
 import copy
 import json
-import math
 import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +24,6 @@ from avqabench.split import (
     conformal_split,
     distribution_report,
     legacy_split,
-    load_split,
     total_variation,
     write_split,
 )
@@ -318,11 +317,15 @@ class TestAssignment:
                 ]
             assert group["missing_in_reference"] == (key not in ref)
 
-    def test_byte_identical_split_files(self, tmp_path):
-        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_split(build_assignment(manifest, SplitConfig()), a)
-        write_split(build_assignment(manifest, SplitConfig()), b)
+    @settings(max_examples=60)
+    @given(manifest=multi_group_manifests(), mode=st.sampled_from(MODES))
+    # two classes of 11: normalized entropy 1.0000000000000004
+    @example(manifest=_manifest_from_counts({"a": 11, "b": 11}), mode="conformal")
+    def test_byte_identical_split_files(self, manifest, mode, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("split")
+        a, b = folder / "a.json", folder / "b.json"
+        write_split(build_assignment(manifest, SplitConfig(mode)), a)
+        write_split(build_assignment(copy.deepcopy(manifest), SplitConfig(mode)), b)
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("answers", [{"x": 7, "y": 2, "z": 1}, {"ünï": 3, "コード": 2, "e\u2028f": 1}, {}])
@@ -333,200 +336,6 @@ class TestAssignment:
         write_split(assignment, path)
         expected = json.dumps(assignment.to_dict(), indent=2, ensure_ascii=False) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
-
-
-def _replaced(line, doc):
-    return pytest.param(lambda _: doc, line, id=json.dumps(doc))
-
-
-def _without(line, key):
-    def edit(doc):
-        del doc["groups"][0][key]
-        return doc
-
-    return pytest.param(edit, line, id=f"without {key}")
-
-
-def _with(line, **changes):
-    def edit(doc):
-        doc["groups"][0].update(changes)
-        return doc
-
-    return pytest.param(edit, line, id=", ".join(f"{k}={v!r}" for k, v in changes.items()))
-
-
-# edits of the conformal split file of {"x": 7, "y": 2, "z": 1}, and the
-# line each first changes: 4-11 hold task ... balanced, 12 head_answers,
-# 15 tail_answers and 16-17 its answers "y" and "z"
-MALFORMED = [
-    _replaced(1, []),
-    _replaced(2, {"assignments": {}}),
-    _replaced(2, {"groups": []}),
-    _replaced(2, {"groups": {}, "assignments": {}}),
-    _replaced(2, {"groups": [], "assignments": []}),
-    _replaced(2, {"groups": [], "assignments": [["q0", "head"]]}),
-    _replaced(3, {"groups": ["x"], "assignments": {}}),
-    _without(4, "task"),
-    _without(6, "mode"),
-    _without(7, "k"),
-    _without(12, "head_answers"),
-    _without(11, "balanced"),
-    _with(4, task=3),
-    _with(5, question_type=None),
-    _with(6, mode=["conformal"]),
-    _with(6, mode="median"),
-    _with(7, k="half"),
-    _with(7, k=True),
-    _with(8, head_size=1.0),
-    _with(8, head_size=False),
-    _with(9, coverage=None),
-    _with(10, normalized_entropy="0.5"),
-    _with(11, balanced="no"),
-    _with(11, balanced=1),
-    _with(12, head_answers=3),
-    _with(12, head_answers="x"),
-    _with(17, tail_answers=["y", 2]),
-    _with(
-        7, k=math.nan, head_size=-3, coverage=7.5, normalized_entropy=math.inf,
-        head_answers=["two"], tail_answers=["two"],
-    ),
-    _with(7, k=-0.5),
-    _with(8, head_size=-1),
-    _with(9, coverage=math.inf),
-    _with(10, normalized_entropy=-math.inf),
-    _with(10, normalized_entropy=-1e-9),
-    _with(9, coverage=1.0000000000000002),
-    _with(8, head_size=2),
-    _with(7, k=0.5),
-    _with(7, k=0.0, head_size=0, head_answers=[], tail_answers=[]),
-    _with(7, k=0.5, head_size=2, head_answers=["x", "x"]),
-    _with(17, tail_answers=["y", "y"]),
-    _with(16, tail_answers=["z", "x"]),
-]
-
-def _written(manifest, mode, path):
-    assignment = build_assignment(manifest, SplitConfig(mode=mode))
-    write_split(assignment, path)
-    return assignment
-
-
-def _message(found, expected, line):
-    """load_split's error for a first difference at 1-based line `line`."""
-    found, expected = found.split("\n")[line - 1], expected.split("\n")[line - 1]
-    return f"split file: line {line} is {found[:80]!r}, expected {expected[:80]!r}"
-
-
-class TestSplitFile:
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize(
-        "answers", [{"x": 7, "y": 2, "z": 1}, {"ünï": 3, "e\u2028f": 1}, {"x": 4}]
-    )
-    def test_round_trip(self, mode, answers, tmp_path):
-        manifest = _manifest_from_counts(answers)
-        assignment = _written(manifest, mode, tmp_path / "split.json")
-        loaded = load_split(tmp_path / "split.json", manifest)
-        assert loaded.labels == assignment.labels
-        assert loaded.solutions == assignment.solutions
-        assert {sol.mode for sol in loaded.solutions} == {mode}
-
-    @settings(max_examples=60)
-    @given(manifest=multi_group_manifests(), mode=st.sampled_from(MODES))
-    # two classes of 11: normalized entropy 1.0000000000000004
-    @example(manifest=_manifest_from_counts({"a": 11, "b": 11}), mode="conformal")
-    def test_every_written_split_loads_with_its_manifest(self, manifest, mode, tmp_path_factory):
-        path = tmp_path_factory.mktemp("split") / "split.json"
-        assignment = _written(manifest, mode, path)
-        loaded = load_split(path, manifest)
-        assert loaded.labels == assignment.labels
-        assert loaded.solutions == assignment.solutions
-
-    def test_crlf_line_ends_load(self, tmp_path):
-        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
-        path = tmp_path / "split.json"
-        assignment = _written(manifest, "legacy", path)
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert load_split(path, manifest).solutions == assignment.solutions
-
-    @pytest.mark.parametrize("edit, line", MALFORMED)
-    def test_malformed_split_file_is_rejected_naming_the_line(self, edit, line, tmp_path):
-        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
-        path = tmp_path / "split.json"
-        _written(manifest, "conformal", path)
-        written = path.read_text(encoding="utf-8")
-        found = json.dumps(edit(json.loads(written)), indent=2, ensure_ascii=False) + "\n"
-        path.write_text(found, encoding="utf-8")
-        with pytest.raises(ValueError) as info:
-            load_split(path, manifest)
-        assert str(info.value) == _message(found, written, line)
-
-    @settings(max_examples=60)
-    @given(
-        manifest=multi_group_manifests(min_groups=1), mode=st.sampled_from(MODES), data=st.data()
-    )
-    def test_a_flipped_label_is_rejected_naming_its_line(
-        self, manifest, mode, data, tmp_path_factory
-    ):
-        path = tmp_path_factory.mktemp("split") / "split.json"
-        labels = _written(manifest, mode, path).labels
-        written = path.read_text(encoding="utf-8")
-        lines = written.split("\n")
-        rid = data.draw(st.sampled_from(sorted(labels)))
-        i = next(i for i, text in enumerate(lines) if text.startswith(f'    "{rid}": '))
-        flipped = "tail" if labels[rid] == "head" else "head"
-        lines[i] = lines[i].replace(f'"{labels[rid]}"', f'"{flipped}"')
-        found = "\n".join(lines)
-        path.write_text(found, encoding="utf-8")
-        with pytest.raises(ValueError) as info:
-            load_split(path, manifest)
-        assert str(info.value) == _message(found, written, i + 1)
-
-    @pytest.mark.parametrize(
-        "other, message",
-        [
-            # same answer counts, so the same groups; q0 and q9 swap answers
-            (
-                ["z"] + ["x"] * 6 + ["y", "y", "x"],
-                """split file: line 22 is '    "q0": "head",', expected '    "q0": "tail",'""",
-            ),
-            # one more "z": the group's solution differs from its k on
-            (
-                ["x"] * 7 + ["y", "y", "z", "z"],
-                "split file: line 7 is '      \"k\": 0.3333333333333333,', "
-                "expected '      \"k\": 0.6666666666666666,'",
-            ),
-        ],
-    )
-    def test_a_split_of_another_dataset_is_rejected_naming_the_line(self, other, message, tmp_path):
-        path = tmp_path / "split.json"
-        _written(_manifest_from_counts({"x": 7, "y": 2, "z": 1}), "conformal", path)
-        records = [
-            QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer=a)
-            for i, a in enumerate(other)
-        ]
-        with pytest.raises(ValueError) as info:
-            load_split(path, DatasetManifest(records))
-        assert str(info.value) == message
-
-    def test_a_cut_file_is_rejected_at_its_end(self, tmp_path):
-        manifest = _manifest_from_counts({"x": 7, "y": 2, "z": 1})
-        path = tmp_path / "split.json"
-        _written(manifest, "conformal", path)
-        lines = path.read_text(encoding="utf-8").split("\n")
-        path.write_text("\n".join(lines[:9]), encoding="utf-8")
-        with pytest.raises(ValueError) as info:
-            load_split(path, manifest)
-        assert str(info.value) == f"split file: line 10 is end of file, expected {lines[9]!r}"
-
-    def test_a_long_line_is_cut_to_80_characters(self, tmp_path):
-        manifest = _manifest_from_counts({"a" * 100: 3, "b": 1})
-        path = tmp_path / "split.json"
-        _written(manifest, "conformal", path)
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text.replace("a" * 100, "c" + "a" * 99), encoding="utf-8")
-        with pytest.raises(ValueError) as info:
-            load_split(path, manifest)
-        found, expected = " " * 8 + '"c' + "a" * 70, " " * 8 + '"' + "a" * 71
-        assert str(info.value) == f"split file: line 13 is {found!r}, expected {expected!r}"
 
 
 # 10 records in 2 groups: 6 of (avqa, Counting), then 4 of (visual, Location)
@@ -557,26 +366,20 @@ OTHER_DATASETS = {
 
 
 class TestBinding:
-    def test_labels_are_derived_and_cannot_be_passed(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_split_is_built_from_its_dataset_and_mode_alone(self, mode):
+        assert [f.name for f in fields(SplitAssignment) if f.init] == ["manifest", "mode"]
         manifest = DatasetManifest(TWO_GROUPS)
-        solutions = build_assignment(manifest, SplitConfig()).solutions
+        assignment = SplitAssignment(manifest, mode)
+        assert assignment == build_assignment(manifest, SplitConfig(mode))
+        assert {sol.mode for sol in assignment.solutions} == {mode}
+
+    @pytest.mark.parametrize("name", ["solutions", "labels", "cell_keys", "cell_sizes", "cells"])
+    def test_labels_are_derived_and_cannot_be_passed(self, name):
+        manifest = DatasetManifest(TWO_GROUPS)
+        derived = getattr(build_assignment(manifest, SplitConfig()), name)
         with pytest.raises(TypeError):
-            SplitAssignment(manifest, solutions, labels={})
-
-    def test_group_without_a_solution_is_an_error(self):
-        manifest = DatasetManifest(TWO_GROUPS)
-        (counting, _) = build_assignment(manifest, SplitConfig()).solutions
-        with pytest.raises(ValueError) as info:
-            SplitAssignment(manifest, [counting])
-        assert str(info.value) == "group (visual, Location) has no split solution"
-
-    def test_a_group_solved_twice_is_an_error(self):
-        manifest = DatasetManifest(TWO_GROUPS)
-        counting, location = build_assignment(manifest, SplitConfig()).solutions
-        again = replace(counting, head_answers=("y",), tail_answers=("x",))
-        with pytest.raises(ValueError) as info:
-            SplitAssignment(manifest, [counting, location, again])
-        assert str(info.value) == "group (avqa, Counting) is solved twice"
+            SplitAssignment(manifest, "conformal", **{name: derived})
 
     @pytest.mark.parametrize("stage", STAGES)
     @pytest.mark.parametrize("built_from, given", OTHER_DATASETS.values(), ids=OTHER_DATASETS)

@@ -3,6 +3,7 @@ dataset, and split files."""
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,9 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 from avqabench.evaluate import accuracy_report, uniform_sample
 from avqabench.records import DatasetManifest, GroupKey, QARecord
 from avqabench.split import (
+    BALANCED_ENTROPY,
     MODES,
     SplitAssignment,
     SplitConfig,
+    SplitSolution,
     build_assignment,
     conformal_split,
     distribution_report,
@@ -159,6 +162,23 @@ class TestLegacy:
         conformal = conformal_split(KEY, counts)
         assert legacy.head_size == 0
         assert conformal.head_size >= 1
+
+
+@pytest.mark.parametrize("rule", [conformal_split, legacy_split], ids=lambda rule: rule.__name__)
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({}, f"group {KEY} is empty"),
+        ({"x": 0}, f"group {KEY} is empty"),
+        ({"x": -1, "y": 3}, "count for 'x' must be a non-negative integer, got -1"),
+        ({"x": 2.0}, "count for 'x' must be a non-negative integer, got 2.0"),
+    ],
+    ids=["no class", "one class of 0", "a negative count", "a float count"],
+)
+def test_a_group_without_valid_counts_is_rejected(rule, counts, message):
+    with pytest.raises(ValueError) as info:
+        rule(KEY, counts)
+    assert str(info.value) == message
 
 
 def _manifest_from_counts(counts, task="avqa", qtype="Counting"):
@@ -328,14 +348,134 @@ class TestAssignment:
         write_split(build_assignment(copy.deepcopy(manifest), SplitConfig(mode)), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("answers", [{"x": 7, "y": 2, "z": 1}, {"ünï": 3, "コード": 2, "e\u2028f": 1}, {}])
-    def test_split_file_is_the_indented_json_text(self, answers, tmp_path):
+    def test_split_file_is_the_indented_json_text(self, answers, mode, tmp_path):
         manifest = _manifest_from_counts(answers, qtype="Zählen")
-        assignment = build_assignment(manifest, SplitConfig())
+        assignment = build_assignment(manifest, SplitConfig(mode))
         path = tmp_path / "split.json"
         write_split(assignment, path)
         expected = json.dumps(assignment.to_dict(), indent=2, ensure_ascii=False) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _group_counts(manifest):
+    """Each group's answer counts, tallied from the records."""
+    counts = {}
+    for rec in manifest.records:
+        counts.setdefault((rec.task, rec.question_type), Counter())[rec.answer] += 1
+    return counts
+
+
+def _head_size(counts, mode):
+    """The head size each rule's oracle gives."""
+    if mode == "conformal":
+        return minimal_feasible_head_size(counts)
+    n, total = len(counts), sum(counts.values())
+    return sum(1 for c in counts.values() if 5 * c * n > 6 * total)
+
+
+def _ranked(counts):
+    return sorted(counts, key=lambda a: (-counts[a], a))
+
+
+def _natural_normalized_entropy(counts):
+    """-sum(p ln p) / ln N, a formula apart from the production one."""
+    total = sum(counts.values())
+    if len(counts) == 1:
+        return 0.0
+    return -sum(c / total * math.log(c / total) for c in counts.values()) / math.log(len(counts))
+
+
+def _is_float(value):
+    return type(value) is float and math.isfinite(value)
+
+
+# each field of a written group, in file order, and a check of its value
+# against the group's answer counts and the mode; the checks reject what a
+# hand-edited file could hold instead: a wrong type, a value out of range,
+# a repeated or misplaced answer
+SPLIT_FILE_FIELDS = {
+    "task": lambda value, key, counts, mode, group: value == key[0],
+    "question_type": lambda value, key, counts, mode, group: value == key[1],
+    "mode": lambda value, key, counts, mode, group: value == mode,
+    "k": lambda value, key, counts, mode, group: (
+        _is_float(value) and value == _head_size(counts, mode) / len(counts)
+    ),
+    "head_size": lambda value, key, counts, mode, group: (
+        type(value) is int and value == _head_size(counts, mode)
+    ),
+    "coverage": lambda value, key, counts, mode, group: (
+        _is_float(value)
+        and 0.0 <= value <= 1.0
+        and value
+        == sum(counts[a] for a in _ranked(counts)[: _head_size(counts, mode)])
+        / sum(counts.values())
+    ),
+    "normalized_entropy": lambda value, key, counts, mode, group: (
+        _is_float(value)
+        and 0.0 <= value <= 1.0 + 1e-12
+        and value == pytest.approx(_natural_normalized_entropy(counts), rel=1e-12, abs=1e-12)
+    ),
+    "balanced": lambda value, key, counts, mode, group: (
+        type(value) is bool and value == (group["normalized_entropy"] >= BALANCED_ENTROPY)
+    ),
+    "head_answers": lambda value, key, counts, mode, group: (
+        value == _ranked(counts)[: _head_size(counts, mode)]
+    ),
+    "tail_answers": lambda value, key, counts, mode, group: (
+        value == _ranked(counts)[_head_size(counts, mode) :]
+    ),
+}
+
+
+class TestSplitFile:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "answers", [{"x": 7, "y": 2, "z": 1}, {"ünï": 3, "e\u2028f": 1}, {"x": 12}]
+    )
+    def test_round_trip(self, mode, answers, tmp_path):
+        """The written file holds the whole split: its labels in file order
+        (q10 sorts before q2) and every group's solution read back unchanged."""
+        manifest = _manifest_from_counts(answers)
+        assignment = SplitAssignment(manifest, mode)
+        write_split(assignment, tmp_path / "split.json")
+        doc = json.loads((tmp_path / "split.json").read_text(encoding="utf-8"))
+        assert list(doc["assignments"].items()) == list(assignment.labels.items())
+        solutions = [
+            SplitSolution(
+                key=GroupKey(group.pop("task"), group.pop("question_type")),
+                head_answers=tuple(group.pop("head_answers")),
+                tail_answers=tuple(group.pop("tail_answers")),
+                **group,
+            )
+            for group in doc["groups"]
+        ]
+        assert solutions == assignment.solutions
+        assert {sol.mode for sol in solutions} == {mode}
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", SPLIT_FILE_FIELDS)
+    @settings(max_examples=30)
+    @given(manifest=multi_group_manifests())
+    @example(manifest=_manifest_from_counts({"x": 7, "y": 2, "z": 1}))
+    # two classes of 11: normalized entropy 1.0000000000000004
+    @example(manifest=_manifest_from_counts({"a": 11, "b": 11}))
+    # 14 is exactly 6/5 of the mean: tail under the legacy rule
+    @example(manifest=_manifest_from_counts({"a": 14, "b": 11, "c": 10}))
+    def test_each_written_field_is_what_the_dataset_and_mode_give(
+        self, name, mode, manifest, tmp_path_factory
+    ):
+        path = tmp_path_factory.mktemp("split") / "split.json"
+        write_split(SplitAssignment(manifest, mode), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        counts = _group_counts(manifest)
+        keys = sorted(counts)
+        assert len(doc["groups"]) == len(keys)
+        for key, group in zip(keys, doc["groups"]):
+            assert list(group) == list(SPLIT_FILE_FIELDS)
+            check = SPLIT_FILE_FIELDS[name]
+            assert check(group[name], key, counts[key], mode, group), (key, name, group[name])
 
 
 # 10 records in 2 groups: 6 of (avqa, Counting), then 4 of (visual, Location)
@@ -362,6 +502,17 @@ OTHER_DATASETS = {
     "a record less": (TWO_GROUPS, TWO_GROUPS[:-1]),
     "an answer changed": (TWO_GROUPS, TWO_GROUPS[:-1] + [replace(TWO_GROUPS[-1], answer="r")]),
     "reordered": (TWO_GROUPS, TWO_GROUPS[::-1]),
+    "a record more": (TWO_GROUPS[:-1], TWO_GROUPS),
+    # q0 and q5 trade answers x and y: every group keeps its answer counts
+    "two answers swapped": (
+        TWO_GROUPS,
+        [
+            replace(TWO_GROUPS[0], answer="y"),
+            *TWO_GROUPS[1:5],
+            replace(TWO_GROUPS[5], answer="x"),
+            *TWO_GROUPS[6:],
+        ],
+    ),
 }
 
 
@@ -380,6 +531,16 @@ class TestBinding:
         derived = getattr(build_assignment(manifest, SplitConfig()), name)
         with pytest.raises(TypeError):
             SplitAssignment(manifest, "conformal", **{name: derived})
+
+    @pytest.mark.parametrize(
+        "mode", ["median", "Conformal", " legacy", "", None, 3, ["conformal"]], ids=repr
+    )
+    def test_a_mode_outside_modes_is_rejected(self, mode):
+        with pytest.raises(ValueError) as info:
+            SplitAssignment(DatasetManifest(TWO_GROUPS), mode)
+        assert str(info.value) == (
+            f"unknown split mode {mode!r}; expected one of ('conformal', 'legacy')"
+        )
 
     @pytest.mark.parametrize("stage", STAGES)
     @pytest.mark.parametrize("built_from, given", OTHER_DATASETS.values(), ids=OTHER_DATASETS)

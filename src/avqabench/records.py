@@ -27,15 +27,16 @@ copies serve every dataset the process parses. Predictions are open text
 that rarely repeats from one file to the next, so a prediction file's equal
 predictions share one string through a dict kept for that parse alone;
 interning them would grow the process-wide intern table with strings no
-later parse looks up. A record's extras are a read-only dict,
-and within one parse the records whose extras are equal share one: equal
-in key order, in each value and in each value's type, where every value is
-a str, int, bool or None. The JSON text of such a value is fixed by its
-type and value, so sharing never merges 1 with True or 1.0, or 0.0 with
--0.0; a record with any other value (a float, list or object) gets a dict
-of its own, the same size as a plain dict. A parse remembers at most
+later parse looks up. A record's extras are a tuple of (key, value)
+pairs in file order, and within one parse the records whose extras are
+equal share one: equal in key order, in each value and in each value's
+type, where every value is a str, int, bool or None. The JSON text of such
+a value is fixed by its type and value, so sharing never merges 1 with
+True or 1.0, or 0.0 with -0.0; a record with any other value (a float,
+list or object) gets a tuple of its own. A parse remembers at most
 _SHARED_EXTRAS_MAX distinct extras, so extras that never repeat (a
-per-question id, say) cost no more than a dict per record.
+per-question id, say) cost one tuple per record, which the cyclic garbage
+collector stops tracking once its values are atomic.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple
+from typing import Any, NamedTuple
 
 TASKS = ("audio", "visual", "avqa")
 
@@ -60,31 +61,12 @@ _scan_once = json.JSONDecoder().scan_once
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 # Popped in place of a field the line does not have.
 _MISSING = object()
-# The types of the extras values that records may share a dict for.
+# The types of the extras values that records may share a tuple for.
 _SHAREABLE = frozenset((str, int, bool, type(None)))
 # The most distinct extras one parse keeps for sharing; the rest are not shared.
 _SHARED_EXTRAS_MAX = 4096
 # The fields of a dataset line, which no record's extras may hold.
 _SCHEMA_FIELDS = frozenset("id task question_type question answer video_id rephrase_of".split())
-
-
-class _ReadOnlyDict(dict):
-    """A dict whose methods refuse to change it, so records can share one."""
-
-    __slots__ = ()
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a record's extras are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return _ReadOnlyDict, (dict(self),)
-
-
-# The extras of every record that has none.
-_NO_EXTRAS: Mapping[str, Any] = _ReadOnlyDict()
 
 
 class DatasetError(ValueError):
@@ -105,9 +87,9 @@ class GroupKey(NamedTuple):
 class QARecord:
     """One question of a dataset.
 
-    `extras` holds the fields outside the schema, in file order, as a
-    read-only dict; a record built without them shares one empty dict.
-    to_dict rejects extras that hold a schema field, as parsed ones never do.
+    `extras` holds the fields outside the schema as a tuple of (key, value)
+    pairs in file order, empty for a record without them. to_dict rejects
+    extras that hold a schema field, as parsed ones never do.
     """
 
     id: str
@@ -117,7 +99,7 @@ class QARecord:
     answer: str
     video_id: str | None = None
     rephrase_of: str | None = None
-    extras: Mapping[str, Any] = field(default_factory=lambda: _NO_EXTRAS)
+    extras: tuple[tuple[str, Any], ...] = ()
 
     def to_dict(self) -> dict:
         out = {
@@ -131,29 +113,31 @@ class QARecord:
             out["video_id"] = self.video_id
         if self.rephrase_of is not None:
             out["rephrase_of"] = self.rephrase_of
-        for key in self.extras:
+        extras = dict(self.extras)
+        for key in extras:
             if key in _SCHEMA_FIELDS:
                 raise ValueError(f"record {self.id!r}: extras key {key!r} is a schema field")
-        out.update(self.extras)
+        out.update(extras)
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetManifest:
     """Ordered records plus each (task, question_type) group's answer counts,
     groups and answers in first-seen order. The records are taken from any
-    iterable and kept as a tuple."""
+    iterable and kept as a tuple; the manifest is frozen, so neither can be
+    replaced once a split has read them."""
 
     records: tuple[QARecord, ...]
     groups: dict[GroupKey, Counter[str]] = field(init=False)
 
     def __post_init__(self):
-        self.records = tuple(self.records)
+        object.__setattr__(self, "records", tuple(self.records))
         counts = Counter(map(attrgetter("task", "question_type", "answer"), self.records))
         groups: dict[GroupKey, Counter[str]] = {}
         for (task, question_type, answer), count in counts.items():
             groups.setdefault(GroupKey(task, question_type), Counter())[answer] = count
-        self.groups = groups
+        object.__setattr__(self, "groups", groups)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -167,19 +151,18 @@ def _field_error(line_no: int, key: str, value) -> DatasetError:
 
 
 def _parse_record_line(
-    raw: dict, line_no: int, extras_cache: dict[tuple, Mapping[str, Any]]
+    raw: dict, line_no: int, extras_cache: dict[tuple, tuple]
 ) -> QARecord:
     """Build a record from a freshly decoded line, consuming `raw`.
 
     Each known field is popped and checked in turn, so the first problem
     on the line is the one reported; the fields left over are the extras.
-    Labels are interned once checked. The extras are copied to a new
-    read-only dict, because a dict keeps its size when keys are popped,
-    unless `extras_cache` already holds an equal one.
+    Labels are interned once checked. The extras become a tuple of
+    (key, value) pairs, unless `extras_cache` already holds an equal one.
 
     `extras_cache` maps the signature of some extras (their keys in
     order, then their values, then their values' types) to the shared
-    dict. Only extras whose values are all of a _SHAREABLE type have a
+    tuple. Only extras whose values are all of a _SHAREABLE type have a
     signature, and the cache stops taking new ones once it holds
     _SHARED_EXTRAS_MAX.
     """
@@ -225,7 +208,7 @@ def _parse_record_line(
         signature = None
     extras = extras_cache.get(signature)  # None is never a key
     if extras is None:
-        extras = _ReadOnlyDict({sys.intern(key): value for key, value in raw.items()})
+        extras = tuple(zip(map(sys.intern, raw), raw.values()))
         if signature is not None and len(extras_cache) < _SHARED_EXTRAS_MAX:
             extras_cache[signature] = extras
     return QARecord(
@@ -292,7 +275,7 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
     """
     records: list[QARecord] = []
     seen: set[str] = set()
-    extras_cache: dict[tuple, Mapping[str, Any]] = {(): _NO_EXTRAS}
+    extras_cache: dict[tuple, tuple] = {(): ()}
     for line_no, raw in _iter_json_lines(path):
         rec = _parse_record_line(raw, line_no, extras_cache)
         if rec.id in seen:

@@ -77,7 +77,6 @@ class SyntheticSpec:
 class ToyDataset:
     features: np.ndarray  # (3, n, d) in MODALITIES order
     labels: np.ndarray  # (n,)
-    cues: np.ndarray  # (n,) cue token carried by the question features
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -121,7 +120,7 @@ def _materialize(rng, spec, books, labels, cue_rate):
     features = np.empty((len(MODALITIES), labels.shape[0], spec.feature_dim))
     for out, name, factor in zip(features, MODALITIES, (cues, video_factor, audio_factor)):
         out[:] = books[name][factor] + rng.normal(scale=spec.noise_std, size=out.shape)
-    return ToyDataset(features=features, labels=labels, cues=cues)
+    return ToyDataset(features=features, labels=labels)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[ToyDataset, ToyDataset, ToyDataset]:

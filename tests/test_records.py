@@ -1,6 +1,7 @@
 """Parsing, validation, and round-trip behaviour of the record layer."""
 
 import copy
+import dataclasses
 import gc
 import json
 import pickle
@@ -143,19 +144,48 @@ def test_chains_that_meet_are_not_a_cycle(write_jsonl):
 def test_extra_fields_preserved_on_round_trip(write_jsonl, tmp_path):
     path = write_jsonl([qa_row(1, provenance="template-7", votes=3)])
     manifest = parse_dataset(path)
-    assert manifest.records[0].extras == {"provenance": "template-7", "votes": 3}
+    assert manifest.records[0].extras == (("provenance", "template-7"), ("votes", 3))
     out = tmp_path / "out.jsonl"
     write_dataset(manifest, out)
     assert parse_dataset(out) == manifest
 
 
+def test_optional_fields_and_extras_round_trip_in_schema_order(tmp_path):
+    # q3 -> q2 -> q1 is a rephrase chain; q4 has extras but no optional field
+    lines = [
+        '{"id": "q1", "task": "audio", "question_type": "Counting", "question": "How many?", '
+        '"answer": "two", "video_id": "v1", "difficulty": "easy", "question_id": 101}',
+        '{"id": "q2", "task": "audio", "question_type": "Counting", "question": "Count them?", '
+        '"answer": "two", "video_id": "v1", "rephrase_of": "q1", "difficulty": "easy", '
+        '"question_id": 102}',
+        '{"id": "q3", "task": "audio", "question_type": "Counting", "question": "Number?", '
+        '"answer": "two", "video_id": "v1", "rephrase_of": "q2"}',
+        '{"id": "q4", "task": "visual", "question_type": "Location", "question": "Where?", '
+        '"answer": "left", "rephrase_of": "q4b", "score": 0.5}',
+        '{"id": "q4b", "task": "visual", "question_type": "Location", "question": "Where is it?", '
+        '"answer": "left", "video_id": "v2"}',
+    ]
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    manifest = parse_dataset(path)
+    assert [(rec.video_id, rec.rephrase_of) for rec in manifest.records] == [
+        ("v1", None), ("v1", "q1"), ("v1", "q2"), (None, "q4b"), ("v2", None)
+    ]
+    out = tmp_path / "out.jsonl"
+    write_dataset(manifest, out)
+    assert out.read_bytes() == path.read_bytes()
+    assert parse_dataset(out) == manifest
+
+
+@pytest.mark.parametrize("form", [tuple, dict], ids=["pairs", "dict"])
 @pytest.mark.parametrize(
     "key", ["id", "task", "question_type", "question", "answer", "video_id", "rephrase_of"]
 )
-def test_extras_holding_a_schema_field_are_not_written(key, tmp_path):
-    # written as is, the extras would replace or add the field on the line
+def test_extras_holding_a_schema_field_are_not_written(key, form, tmp_path):
+    # written as is, the extras would replace or add the field on the line;
+    # the error names the key whether the caller passed pairs or a dict
     rec = QARecord(id="q1", task="audio", question_type="Counting", question="?", answer="two",
-                   extras={"difficulty": "easy", key: "q2"})
+                   extras=form((("difficulty", "easy"), (key, "q2"))))
     message = f"record 'q1': extras key {key!r} is a schema field"
     with pytest.raises(ValueError) as info:
         rec.to_dict()
@@ -177,46 +207,33 @@ def test_labels_share_one_string_per_distinct_value(write_jsonl):
         for field in ("task", "question_type", "answer", "video_id"):
             value = getattr(rec, field)
             assert value is by_value.setdefault((field, value), value)
-        (key,) = rec.extras
+        ((key, _),) = rec.extras
         assert key is by_value.setdefault(("extras", key), key)
-        # one mapping per distinct extras, not the decoded line's dict
-        assert rec.extras is by_value.setdefault(("extras", *rec.extras.items()), rec.extras)
+        # one tuple per distinct extras
+        assert rec.extras is by_value.setdefault(("extras", *rec.extras), rec.extras)
     assert len(by_value) == 1 + 1 + 2 + 2 + 1 + 2
 
 
-def test_equal_extras_share_one_read_only_mapping(write_jsonl):
+def test_equal_extras_share_one_tuple(write_jsonl):
     rows = [qa_row(i, difficulty=["easy", "hard"][i % 2], checked=i % 2 == 0) for i in range(6)]
     records = parse_dataset(write_jsonl(rows + [qa_row(6), qa_row(7)])).records
     for a, b in zip(records[:4], records[2:6]):
         assert a.extras is b.extras
-    assert records[0].extras == {"difficulty": "easy", "checked": True}
-    assert records[1].extras == {"difficulty": "hard", "checked": False}
-    with pytest.raises(TypeError):
-        records[0].extras["difficulty"] = "medium"
-    with pytest.raises(TypeError):
-        del records[0].extras["checked"]
-    for change in (
-        lambda extras: extras.update(difficulty="medium"),
-        lambda extras: extras.setdefault("note", "x"),
-        lambda extras: extras.pop("checked"),
-        lambda extras: extras.popitem(),
-        lambda extras: extras.clear(),
-        lambda extras: extras.__ior__({"note": "x"}),
-    ):
-        with pytest.raises(TypeError):
-            change(records[0].extras)
-    assert records[0].extras == {"difficulty": "easy", "checked": True}
-    assert records[6].extras is records[7].extras == {}
+    # immutable by type, so no record can change the extras it shares
+    assert all(type(rec.extras) is tuple for rec in records)
+    assert all(type(pair) is tuple for rec in records for pair in rec.extras)
+    assert records[0].extras == (("difficulty", "easy"), ("checked", True))
+    assert records[1].extras == (("difficulty", "hard"), ("checked", False))
+    assert records[6].extras is records[7].extras == ()
 
 
-def test_record_built_without_extras_shares_the_empty_mapping(write_jsonl):
+def test_record_built_without_extras_has_the_empty_tuple(write_jsonl):
     built = [QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="a")
              for i in range(2)]
     parsed = parse_dataset(write_jsonl([qa_row(0)])).records[0]
     assert built[0].extras is built[1].extras is parsed.extras
-    assert built[0].extras == {}
-    with pytest.raises(TypeError):
-        built[0].extras["note"] = "x"
+    assert type(built[0].extras) is tuple
+    assert built[0].extras == ()
 
 
 def test_typed_extras_round_trip_and_share_only_same_typed_values(write_jsonl, tmp_path):
@@ -229,23 +246,43 @@ def test_typed_extras_round_trip_and_share_only_same_typed_values(write_jsonl, t
     records = manifest.records
     for a in records:
         for b in records:
-            va, vb = a.extras["value"], b.extras["value"]
+            ((_, va),), ((_, vb),) = a.extras, b.extras
             shareable = type(va) in (str, int, bool, type(None))
             same = type(va) is type(vb) and va == vb
             assert (a.extras is b.extras) == (a is b or (shareable and same)), (va, vb)
-    # a float or list value gets its own mapping, even when equal
-    floats = [rec.extras for rec in records if type(rec.extras["value"]) is float]
-    lists = [rec.extras for rec in records if type(rec.extras["value"]) is list]
+    # a float or list value gets its own tuple, even when equal
+    floats = [rec.extras for rec in records if type(rec.extras[0][1]) is float]
+    lists = [rec.extras for rec in records if type(rec.extras[0][1]) is list]
     assert len({id(extras) for extras in floats + lists}) == len(floats + lists) == 8
 
 
-def test_unshared_extras_cost_no_more_than_a_plain_dict(write_jsonl):
+def test_unshared_extras_are_a_plain_tuple_of_their_own(write_jsonl):
     # a per-question id or a float score never repeats, so these records
-    # share nothing and must not pay for a wrapper around their dict
+    # share nothing and hold a plain tuple of their own pairs
     rows = [qa_row(i, difficulty="easy", question_id=i, score=i / 7) for i in range(3)]
-    for rec in parse_dataset(write_jsonl(rows + [qa_row(3, question_id=3)])).records:
-        assert isinstance(rec.extras, dict)
-        assert sys.getsizeof(rec.extras) == sys.getsizeof(dict(rec.extras))
+    records = parse_dataset(write_jsonl(rows + [qa_row(3, question_id=3)])).records
+    for i, rec in enumerate(records[:3]):
+        assert type(rec.extras) is tuple
+        assert rec.extras == (("difficulty", "easy"), ("question_id", i), ("score", i / 7))
+    assert records[3].extras == (("question_id", 3),)
+    assert len({id(rec.extras) for rec in records}) == 4
+
+
+def test_parsed_extras_of_atomic_values_are_not_tracked_by_the_gc(write_jsonl):
+    # a tracked object per record would make every collection walk them all
+    rows = [qa_row(i, question_id=i, score=i / 7, note=None, checked=i % 2 == 0)
+            for i in range(50)]
+    rows.append(qa_row(50, tags=["a"]))
+    records = parse_dataset(write_jsonl(rows)).records
+    # CPython untracks a tuple in a collection that finds its items already
+    # untracked, and one collection reaches the pairs only after their tuple;
+    # a record reaches the oldest generation through at least two
+    gc.collect()
+    assert not any(gc.is_tracked(pair) for rec in records[:50] for pair in rec.extras)
+    gc.collect()
+    assert not any(gc.is_tracked(rec.extras) for rec in records[:50])
+    # a list value is not atomic, so its extras stay tracked
+    assert gc.is_tracked(records[50].extras)
 
 
 def test_a_parse_remembers_a_bounded_number_of_extras(write_jsonl, monkeypatch):
@@ -254,7 +291,7 @@ def test_a_parse_remembers_a_bounded_number_of_extras(write_jsonl, monkeypatch):
     rows = [qa_row(i, note=note) for i, note in enumerate("abccab")]
     extras = [rec.extras for rec in parse_dataset(write_jsonl(rows)).records]
     assert extras[0] is extras[4] and extras[1] is extras[5]
-    assert extras[2] == extras[3] == {"note": "c"}
+    assert extras[2] == extras[3] == (("note", "c"),)
     assert extras[2] is not extras[3]
 
 
@@ -262,9 +299,18 @@ def test_parsed_manifest_copies_and_pickles(write_jsonl):
     manifest = parse_dataset(write_jsonl([qa_row(i, difficulty="easy") for i in range(2)]))
     for copied in (copy.deepcopy(manifest), pickle.loads(pickle.dumps(manifest))):
         assert copied == manifest
+        assert type(copied.records[0].extras) is tuple
         assert copied.records[0].extras is copied.records[1].extras
-        with pytest.raises(TypeError):
-            copied.records[0].extras["difficulty"] = "hard"
+
+
+def test_a_manifest_is_frozen(write_jsonl):
+    manifest = parse_dataset(write_jsonl([qa_row(1), qa_row(2)]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        manifest.records = manifest.records[:1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        manifest.groups = {}
+    assert len(manifest) == 2
+    assert manifest.groups == {("avqa", "Counting"): Counter({"one": 2})}
 
 
 def test_extras_keep_their_key_order(write_jsonl, tmp_path):
@@ -272,7 +318,7 @@ def test_extras_keep_their_key_order(write_jsonl, tmp_path):
     path = write_jsonl(rows)
     manifest = parse_dataset(path)
     records = manifest.records
-    assert [list(rec.extras) for rec in records] == [["b", "a"], ["a", "b"], ["b", "a"]]
+    assert [[key for key, _ in rec.extras] for rec in records] == [["b", "a"], ["a", "b"], ["b", "a"]]
     assert records[0].extras is records[2].extras is not records[1].extras
     out = tmp_path / "out.jsonl"
     write_dataset(manifest, out)
@@ -339,7 +385,7 @@ def test_parsed_records_retain_less_than_decoded_lines(write_jsonl):
     lines = path.read_text(encoding="utf-8").splitlines()
     decoded = _retained_bytes(lambda: [json.loads(line) for line in lines])
     parsed = _retained_bytes(lambda: parse_dataset(path))
-    # 0.25 with one extras mapping per distinct value, 0.43 with a dict per
+    # 0.28 with one extras tuple per distinct value, 0.43 with a dict per
     # record, 0.78 with a copy of each label per record (CPython 3.11)
     assert parsed <= 0.3 * decoded, (parsed / len(rows), decoded / len(rows))
 
@@ -375,7 +421,7 @@ def test_non_newline_line_breaks_round_trip(char, tmp_path):
             question_type="Counting",
             question=f"How many{char}instruments?",
             answer="two",
-            extras={"note": f"take{char}2"},
+            extras=(("note", f"take{char}2"),),
         ),
         QARecord(id="q2", task="audio", question_type="Counting", question="?", answer="one"),
     ]
@@ -488,7 +534,15 @@ def test_null_optional_fields_are_absent(write_jsonl):
     manifest = parse_dataset(write_jsonl([qa_row(1, video_id=None, rephrase_of=None)]))
     assert manifest.records[0].video_id is None
     assert manifest.records[0].rephrase_of is None
-    assert manifest.records[0].extras == {}
+    assert manifest.records[0].extras == ()
+
+
+@pytest.mark.parametrize("value", ["", " ", "\t \u3000"], ids=repr)
+def test_blank_question_type_is_rejected(value, write_jsonl):
+    path = write_jsonl([qa_row(1), qa_row(2, qtype=value)])
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(path)
+    assert str(info.value) == "line 2: field 'question_type' must be non-empty"
 
 
 def test_first_problem_on_a_line_is_reported(write_jsonl):

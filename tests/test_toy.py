@@ -153,6 +153,39 @@ def test_configs_reject_non_finite_numbers(config, name, value):
         config(**{name: value})
 
 
+# (config, field, value, the exact error)
+OUT_OF_RANGE = [
+    (SyntheticSpec, "num_classes", 1, "num_classes must be at least 2"),
+    (SyntheticSpec, "feature_dim", 7, "feature_dim must be at least num_classes"),
+    (SyntheticSpec, "bias_rate", -0.1, "bias_rate must lie in [0, 1]"),
+    (SyntheticSpec, "bias_rate", 1.1, "bias_rate must lie in [0, 1]"),
+    (SyntheticSpec, "bias_rate", math.nan, "bias_rate must lie in [0, 1]"),
+    (SyntheticSpec, "train_size", 0, "train_size must be at least 1"),
+    (SyntheticSpec, "head_test_size", 0, "head_test_size must be at least 1"),
+    (SyntheticSpec, "tail_test_size", -1, "tail_test_size must be at least 1"),
+    (TrainConfig, "epochs", 0, "epochs must be at least 1"),
+    (TrainConfig, "batch_size", 0, "batch_size must be at least 1"),
+    (TrainConfig, "hidden_dim", 0, "hidden_dim must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, name, value, message",
+    OUT_OF_RANGE,
+    ids=[f"{config.__name__}.{name}={value}" for config, name, value, _ in OUT_OF_RANGE],
+)
+def test_configs_reject_out_of_range_sizes_and_rates(config, name, value, message):
+    with pytest.raises(ValueError) as info:
+        config(**{name: value})
+    assert str(info.value) == message
+
+
+def test_paired_experiment_needs_a_seed():
+    with pytest.raises(ValueError) as info:
+        run_paired_experiment(SPEC, CFG, [])
+    assert str(info.value) == "at least one seed is required"
+
+
 def test_divergence_names_the_epoch():
     # lr 1e6 drives the logits past float64 range within a few epochs
     cfg = TrainConfig(epochs=10, batch_size=16, hidden_dim=5, learning_rate=1e6)

@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter, eq
+from operator import eq
 from typing import Iterable
 
 from .records import DatasetManifest
@@ -145,19 +145,19 @@ class EvalReport:
 def _check_predictions(manifest: DatasetManifest, preds: dict[str, str]) -> None:
     """Raise on a gold id with no prediction or a prediction for no gold id,
     then on the first prediction, in file order, that is not a string."""
-    gold_ids = {rec.id for rec in manifest.records}
-    missing = [rec.id for rec in manifest.records if rec.id not in preds]
+    gold_ids = set(manifest.ids)
+    missing = [rec_id for rec_id in manifest.ids if rec_id not in preds]
     orphans = [pid for pid in preds if pid not in gold_ids]
     if missing or orphans:
         raise ValueError(
             "gold/prediction mismatch: missing predictions for "
             f"{missing!r}, orphan predictions {orphans!r}"
         )
-    for rec in manifest.records:
-        prediction = preds[rec.id]
+    for rec_id in manifest.ids:
+        prediction = preds[rec_id]
         if not isinstance(prediction, str):
             raise ValueError(
-                f"prediction for {rec.id!r} must be a string, got {type(prediction).__name__}"
+                f"prediction for {rec_id!r} must be a string, got {type(prediction).__name__}"
             )
 
 
@@ -174,18 +174,19 @@ def accuracy_report(
     offending ids listed, and a prediction that is not a string raises
     naming its id.
 
-    Scoring reads the split's per-record cell column: the predictions are
-    looked up in file order, each distinct prediction and each distinct
-    gold answer is normalized once, and the records whose normalized
-    prediction equals their normalized gold answer are counted per cell.
-    The ids and values are only checked in full when the counts disagree
-    or a lookup finds no string. Cell sizes come from the split, and its
-    empty cells are left out.
+    Scoring reads the manifest's id and answer columns and the split's cell
+    column: the predictions are looked up in file order, each distinct
+    prediction and each distinct gold answer is normalized once, and the
+    records whose normalized prediction equals their normalized gold answer
+    are counted per cell. The ids and values are only checked in full when
+    the counts disagree or a lookup finds no string. Cell sizes come from
+    the split, and its empty cells are left out.
     """
-    guesses = list(map(preds.get, assignment.labels_for(manifest)))
+    assignment.check_manifest(manifest)
+    guesses = list(map(preds.get, manifest.ids))
     if len(preds) != len(guesses) or not set(map(type, guesses)) <= {str}:
         _check_predictions(manifest, preds)
-    golds = list(map(attrgetter("answer"), manifest.records))
+    golds = manifest.answers
     # two tables, so that the gold lookups stay in a small one
     guessed = {text: normalize_answer(text) for text in dict.fromkeys(guesses)}
     gold = {text: normalize_answer(text) for text in dict.fromkeys(golds)}
@@ -215,13 +216,12 @@ def uniform_sample(
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    assignment.labels_for(manifest)  # raises on a split of another dataset
+    assignment.check_manifest(manifest)
     members: list[list[int]] = [[] for _ in assignment.cell_keys]
     for position, cell in enumerate(assignment.cells):
         members[cell].append(position)
 
-    records = manifest.records
-    house = int(ratio * len(records) + 0.5)
+    house = int(ratio * len(manifest) + 0.5)
     # cells are numbered in sorted key order, so a tie in remainder goes to
     # the smaller key
     quotas = [ratio * len(positions) for positions in members]
@@ -234,8 +234,9 @@ def uniform_sample(
         targets[cell] += 1
 
     rng = random.Random(seed)
-    chosen: list[int] = []
+    keep = [False] * len(manifest)
     for positions, target in zip(members, targets):
         rng.shuffle(positions)
-        chosen += positions[:target]
-    return DatasetManifest(map(records.__getitem__, sorted(chosen)))
+        for position in positions[:target]:
+            keep[position] = True
+    return manifest.select(keep)

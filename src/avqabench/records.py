@@ -12,13 +12,17 @@ In both, lines are separated by "\n" only and each is decoded as UTF-8 on
 its own. A string may hold any other line or paragraph separator raw
 (U+2028, U+0085, form feed, ...), and a "\r" before the "\n" is JSON
 whitespace. Unknown extra fields on dataset records are preserved on
-round-trip but otherwise ignored. A DatasetManifest holds its records as a
-tuple and counts each (task, question_type) group's answers when it is
-built, in one pass over the records, so the counts cannot disagree with the
-records, and the tuple cannot gain or lose a record after a split has
-labelled them. A rephrase_of reference must name a record of the same
-dataset, and following the references from any record must end at a record
-without one: a cycle has no original question.
+round-trip but otherwise ignored. A DatasetManifest holds a dataset as
+columns: one tuple per field, in file order, so that the stages after the
+parse read the fields they need without a record object per line. It
+counts each (task, question_type) group's answers when it is built, in one
+pass over the columns, so the counts cannot disagree with the records, and
+no column can gain, lose or change a value after a split has labelled the
+records. Its `records` are QARecord rows built from the columns on each
+read: copies, so changing one leaves the manifest as it was. A
+rephrase_of reference must name a record of the same dataset, and
+following the references from any record must end at a record without
+one: a cycle has no original question.
 
 Labels come from small closed sets and repeat across many records, so the
 records of a dataset share their task, question_type, answer and video_id
@@ -44,10 +48,11 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from itertools import compress
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 TASKS = ("audio", "visual", "avqa")
 
@@ -85,11 +90,11 @@ class GroupKey(NamedTuple):
 
 @dataclass(slots=True)
 class QARecord:
-    """One question of a dataset.
+    """One question of a dataset: a row of a DatasetManifest.
 
     `extras` holds the fields outside the schema as a tuple of (key, value)
-    pairs in file order, empty for a record without them. to_dict rejects
-    extras that hold a schema field, as parsed ones never do.
+    pairs in file order, empty for a record without them. write_dataset
+    rejects extras that hold a schema field, as parsed ones never do.
     """
 
     id: str
@@ -101,46 +106,73 @@ class QARecord:
     rephrase_of: str | None = None
     extras: tuple[tuple[str, Any], ...] = ()
 
-    def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "task": self.task,
-            "question_type": self.question_type,
-            "question": self.question,
-            "answer": self.answer,
-        }
-        if self.video_id is not None:
-            out["video_id"] = self.video_id
-        if self.rephrase_of is not None:
-            out["rephrase_of"] = self.rephrase_of
-        extras = dict(self.extras)
-        for key in extras:
-            if key in _SCHEMA_FIELDS:
-                raise ValueError(f"record {self.id!r}: extras key {key!r} is a schema field")
-        out.update(extras)
-        return out
+
+# A manifest's columns, in the order of a record's fields.
+_COLUMNS = (
+    "ids", "tasks", "question_types", "questions", "answers", "video_ids", "rephrase_of", "extras"
+)
+# A record's field values, and a manifest's columns, in that order.
+_row = attrgetter(*(f.name for f in fields(QARecord)))
+_columns = attrgetter(*_COLUMNS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DatasetManifest:
-    """Ordered records plus each (task, question_type) group's answer counts,
-    groups and answers in first-seen order. The records are taken from any
-    iterable and kept as a tuple; the manifest is frozen, so neither can be
-    replaced once a split has read them."""
+    """A dataset as one tuple per field, in file order, plus each (task,
+    question_type) group's answer counts, groups and answers in first-seen
+    order.
 
-    records: tuple[QARecord, ...]
-    groups: dict[GroupKey, Counter[str]] = field(init=False)
+    Built from QARecord rows, taken from any iterable; an id that repeats
+    is an error. The manifest is frozen, so no column can be replaced once
+    a split has read it. `records` builds the rows again on each read."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        counts = Counter(map(attrgetter("task", "question_type", "answer"), self.records))
+    ids: tuple[str, ...]
+    tasks: tuple[str, ...]
+    question_types: tuple[str, ...]
+    questions: tuple[str, ...]
+    answers: tuple[str, ...]
+    video_ids: tuple[str | None, ...]
+    rephrase_of: tuple[str | None, ...]
+    extras: tuple[tuple[tuple[str, Any], ...], ...]
+    groups: dict[GroupKey, Counter[str]]
+
+    def __init__(self, records: Iterable[QARecord]):
+        self._set_columns(tuple(zip(*map(_row, records))) or [()] * len(_COLUMNS))
+        seen: set[str] = set()
+        for rec_id in self.ids:
+            if rec_id in seen:
+                raise ValueError(f"dataset repeats the id {rec_id!r}")
+            seen.add(rec_id)
+
+    @classmethod
+    def _of_columns(cls, columns) -> DatasetManifest:
+        """The manifest of columns whose ids are already known to be distinct."""
+        manifest = object.__new__(cls)
+        manifest._set_columns(columns)
+        return manifest
+
+    def _set_columns(self, columns) -> None:
+        for name, column in zip(_COLUMNS, columns):
+            object.__setattr__(self, name, tuple(column))
+        counts = Counter(zip(self.tasks, self.question_types, self.answers))
         groups: dict[GroupKey, Counter[str]] = {}
         for (task, question_type, answer), count in counts.items():
             groups.setdefault(GroupKey(task, question_type), Counter())[answer] = count
         object.__setattr__(self, "groups", groups)
 
+    def select(self, keep: Iterable[bool]) -> DatasetManifest:
+        """The manifest of the records whose entry in `keep` is true, in file
+        order; its ids are distinct, as a subset of this manifest's."""
+        keep = list(keep)
+        return self._of_columns([tuple(compress(column, keep)) for column in _columns(self)])
+
+    @property
+    def records(self) -> tuple[QARecord, ...]:
+        """The rows in file order, built from the columns on each read."""
+        return tuple(map(QARecord, *_columns(self)))
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
 
 def _field_error(line_no: int, key: str, value) -> DatasetError:
@@ -150,10 +182,9 @@ def _field_error(line_no: int, key: str, value) -> DatasetError:
     return DatasetError(f"line {line_no}: field '{key}' must be a string")
 
 
-def _parse_record_line(
-    raw: dict, line_no: int, extras_cache: dict[tuple, tuple]
-) -> QARecord:
-    """Build a record from a freshly decoded line, consuming `raw`.
+def _parse_record_line(raw: dict, line_no: int, extras_cache: dict[tuple, tuple]) -> tuple:
+    """A record's field values, in column order, from a freshly decoded
+    line, consuming `raw`.
 
     Each known field is popped and checked in turn, so the first problem
     on the line is the one reported; the fields left over are the extras.
@@ -211,7 +242,7 @@ def _parse_record_line(
         extras = tuple(zip(map(sys.intern, raw), raw.values()))
         if signature is not None and len(extras_cache) < _SHARED_EXTRAS_MAX:
             extras_cache[signature] = extras
-    return QARecord(
+    return (
         rec_id,
         sys.intern(task),
         sys.intern(question_type),
@@ -273,18 +304,24 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
     references and rephrase_of cycles (the cycle's first line is named).
     Record order is preserved.
     """
-    records: list[QARecord] = []
+    # every record's field values, one record after another
+    values: list = []
     seen: set[str] = set()
     extras_cache: dict[tuple, tuple] = {(): ()}
     for line_no, raw in _iter_json_lines(path):
-        rec = _parse_record_line(raw, line_no, extras_cache)
-        if rec.id in seen:
-            first = _first_line_of(path, rec.id)
-            raise DatasetError(f"duplicate id {rec.id!r} on lines {first} and {line_no}")
-        seen.add(rec.id)
-        records.append(rec)
+        row = _parse_record_line(raw, line_no, extras_cache)
+        rec_id = row[0]
+        if rec_id in seen:
+            first = _first_line_of(path, rec_id)
+            raise DatasetError(f"duplicate id {rec_id!r} on lines {first} and {line_no}")
+        seen.add(rec_id)
+        values += row
+    n = len(_COLUMNS)
+    columns = [values[k::n] for k in range(n)]
+    del values  # before the columns become tuples, so that two copies at most are alive
 
-    rephrased = {rec.id: rec.rephrase_of for rec in records if rec.rephrase_of is not None}
+    ids, *_, rephrase_of, _ = columns
+    rephrased = {rec_id: target for rec_id, target in zip(ids, rephrase_of) if target is not None}
     if not seen.issuperset(rephrased.values()):
         rec_id = next(rec_id for rec_id, target in rephrased.items() if target not in seen)
         raise DatasetError(
@@ -310,7 +347,7 @@ def parse_dataset(path: str | Path) -> DatasetManifest:
                 raise DatasetError(
                     f"line {_first_line_of(path, first)}: rephrase_of cycle {' -> '.join(cycle)}"
                 )
-    return DatasetManifest(records)
+    return DatasetManifest._of_columns(columns)
 
 
 def parse_predictions(path: str | Path) -> dict[str, str]:
@@ -338,7 +375,28 @@ def parse_predictions(path: str | Path) -> dict[str, str]:
 
 
 def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:
-    """Serialize a manifest back to the line-delimited format, a line at a time."""
+    """Serialize a manifest back to the line-delimited format, a line at a time:
+    the schema fields in their order, a null optional field left out, then
+    the extras. Extras that hold a schema field are an error."""
     with open(path, "w", encoding="utf-8") as out:
-        for rec in manifest.records:
-            out.write(_encode(rec.to_dict()) + "\n")
+        for rec_id, task, qtype, question, answer, video_id, rephrase_of, extras in zip(
+            *_columns(manifest)
+        ):
+            line = {
+                "id": rec_id,
+                "task": task,
+                "question_type": qtype,
+                "question": question,
+                "answer": answer,
+            }
+            if video_id is not None:
+                line["video_id"] = video_id
+            if rephrase_of is not None:
+                line["rephrase_of"] = rephrase_of
+            if extras:
+                extras = dict(extras)
+                for key in extras:
+                    if key in _SCHEMA_FIELDS:
+                        raise ValueError(f"record {rec_id!r}: extras key {key!r} is a schema field")
+                line.update(extras)
+            out.write(_encode(line) + "\n")

@@ -24,13 +24,15 @@ always yield identical splits.
 
 A split is a function of its dataset and mode: SplitAssignment(manifest,
 mode) hands each group's answer counts, kept by the manifest, to the mode's
-rule, and derives each cell's size from them, and each record's cell and
-label through a table from each distinct (task, question_type, answer) to
-its cell, so that scoring and sampling read one column; a stage handed a
-split of another dataset raises. distribution_report splits the counts by
-the head set. write_split writes a split as indented JSON. Nothing reads a
-split file back: rebuilding the split from its dataset and mode gives the
-same text.
+rule, and derives each cell's size from them, and each record's cell
+through a table from each distinct (task, question_type, answer) to its
+cell, so that scoring and sampling read one column; a stage handed a
+split of another dataset raises. A split builds its map from each id to
+"head" or "tail", `labels`, only when it is first read; no stage reads it.
+distribution_report splits the counts by the head set. write_split writes
+a split as indented JSON, streaming its assignments from the id and cell
+columns. Nothing reads a split file back: rebuilding the split from its
+dataset and mode gives the same text.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping
 
@@ -101,14 +104,14 @@ class SplitAssignment:
     * `cell_sizes`: the number of records in each cell;
     * `cells`: each record's index into `cell_keys`, in file order;
     * `labels`: each record id in file order, "head" iff the record's answer
-      is in its group's head set.
+      is in its group's head set; built on its first read.
 
-    An unknown mode or a repeated record id is an error."""
+    Two splits are equal when their manifests and modes are. An unknown
+    mode is an error."""
 
-    manifest: DatasetManifest = field(compare=False, repr=False)
+    manifest: DatasetManifest = field(repr=False)
     mode: str
     solutions: list[SplitSolution] = field(init=False)
-    labels: dict[str, str] = field(init=False)
     cell_keys: tuple[tuple[str, str, str], ...] = field(init=False)
     cell_sizes: tuple[int, ...] = field(init=False)
     cells: tuple[int, ...] = field(init=False, repr=False)
@@ -130,31 +133,19 @@ class SplitAssignment:
                 cell_of[(*key, answer)] = cell
                 sizes[cell] += count
         self.cell_sizes = tuple(sizes)
-        records = self.manifest.records
-        triples = map(attrgetter("task", "question_type", "answer"), records)
-        self.cells = tuple(map(cell_of.__getitem__, triples))
-        parts = map((_PARTS * len(keys)).__getitem__, self.cells)
-        self.labels = dict(zip(map(attrgetter("id"), records), parts))
-        if len(self.labels) != len(records):
-            seen: set[str] = set()
-            for rec in records:
-                if rec.id in seen:
-                    raise ValueError(f"dataset repeats the id {rec.id!r}")
-                seen.add(rec.id)
+        m = self.manifest
+        self.cells = tuple(map(cell_of.__getitem__, zip(m.tasks, m.question_types, m.answers)))
 
-    def labels_for(self, manifest: DatasetManifest) -> dict[str, str]:
-        """`labels`, once `manifest` is checked to be the dataset this split
-        labels: the same object, or else an equal one."""
+    @cached_property
+    def labels(self) -> dict[str, str]:
+        parts = _PARTS * len(self.solutions)
+        return dict(zip(self.manifest.ids, map(parts.__getitem__, self.cells)))
+
+    def check_manifest(self, manifest: DatasetManifest) -> None:
+        """Raise unless `manifest` is the dataset this split was built from:
+        the same object, or else an equal one."""
         if manifest is not self.manifest and manifest != self.manifest:
             raise ValueError("split assignment was built from another dataset")
-        return self.labels
-
-    def to_dict(self) -> dict:
-        """The split file's document; its 'assignments' is self.labels, not a copy."""
-        return {
-            "groups": [sol.to_dict() for sol in self.solutions],
-            "assignments": self.labels,
-        }
 
 
 def _nonzero(counts: Mapping[str, int]) -> dict[str, int]:
@@ -269,7 +260,7 @@ def build_assignment(manifest: DatasetManifest, config: SplitConfig) -> SplitAss
 
     Balanced groups (normalized entropy at or above BALANCED_ENTROPY) are
     split like any other but carry balanced=True in their solution. An
-    unknown mode or a repeated record id is an error.
+    unknown mode is an error.
     """
     return SplitAssignment(manifest, config.mode)
 
@@ -303,7 +294,7 @@ def distribution_report(
     rather than fatal; an empty tail yields a null TV. A split of another
     dataset is an error.
     """
-    assignment.labels_for(manifest)  # raises on a split of another dataset
+    assignment.check_manifest(manifest)
     groups = []
     for sol in assignment.solutions:
         key = sol.key
@@ -342,8 +333,19 @@ def distribution_report(
 
 
 def write_split(assignment: SplitAssignment, path: str | Path) -> None:
-    """Write the split as indented JSON, streamed to the file chunk by chunk."""
+    """Write the split as indented JSON: the text of json.dumps(doc, indent=2,
+    ensure_ascii=False) for doc = {"groups": [...], "assignments": labels},
+    and a newline. The assignments are streamed from the id and cell columns,
+    a line per record, without the labels."""
+    ids, cells = assignment.manifest.ids, assignment.cells
+    head = _ENCODER.encode({"groups": [sol.to_dict() for sol in assignment.solutions]})
+    # every record's line but the last ends with a comma and the next line's indent
+    ends = [f': "{part}",\n    ' for part in _PARTS] * len(assignment.solutions)
+    lines = map(str.__add__, map(encode_basestring, ids[:-1]), map(ends.__getitem__, cells))
     with open(path, "w", encoding="utf-8") as out:
-        out.writelines(_ENCODER.iterencode(assignment.to_dict()))
-        out.write("\n")
-
+        out.write(head.removesuffix("\n}") + ',\n  "assignments": {')
+        if ids:
+            out.write("\n    ")
+            out.writelines(lines)
+            out.write(f'{encode_basestring(ids[-1])}: "{_PARTS[cells[-1] % 2]}"\n  ')
+        out.write("}\n}\n")

@@ -1,5 +1,6 @@
 """Accuracy reporting, answer matching and sampling."""
 
+import copy
 import random
 
 import pytest
@@ -12,8 +13,15 @@ from avqabench.records import (
     QARecord,
     parse_dataset,
     parse_predictions,
+    write_dataset,
 )
-from avqabench.split import SplitConfig, build_assignment
+from avqabench.split import (
+    SplitAssignment,
+    SplitConfig,
+    build_assignment,
+    distribution_report,
+    write_split,
+)
 from conftest import qa_row
 
 ANSWERS = ["two", "yes", "acoustic guitar", "Left", "cello."]
@@ -133,23 +141,6 @@ class TestAccuracyReport:
         with pytest.raises(ValueError, match="gold/prediction mismatch"):
             accuracy_report(manifest, assignment, preds)
 
-    def test_repeated_gold_id_is_an_error(self):
-        # six distinct ids, q1 passed twice: scoring it would count 7
-        records = [
-            QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="x")
-            for i in (0, 1, 1, 2, 3, 4, 5)
-        ]
-        manifest = DatasetManifest(records)
-        # no split of it can be built, and a split of the six distinct records is another's
-        distinct = build_assignment(DatasetManifest(records[:2] + records[3:]), SplitConfig())
-        with pytest.raises(ValueError) as info:
-            build_assignment(manifest, SplitConfig())
-        assert str(info.value) == "dataset repeats the id 'q1'"
-        preds = {f"q{i}": "x" for i in range(6)}
-        with pytest.raises(ValueError) as info:
-            accuracy_report(manifest, distinct, preds)
-        assert str(info.value) == "split assignment was built from another dataset"
-
     def test_empty_tail_cell_absent(self):
         manifest = make_manifest([("x1", "avqa", "Existential", "yes")])
         assignment = build_assignment(manifest, SplitConfig(mode="conformal"))
@@ -176,6 +167,50 @@ class TestAccuracyReport:
         table = accuracy_report(manifest, assignment, preds).render_table()
         assert "audio H" in table and "audio T" in table
         assert "pooled:" in table
+
+
+def test_a_record_taken_from_a_manifest_is_a_copy():
+    manifest, assignment, preds = fixture_manifest_and_preds()
+    answers, groups = manifest.answers, copy.deepcopy(manifest.groups)
+    report = accuracy_report(manifest, assignment, preds)
+    record = manifest.records[3]
+    assert (record.id, record.answer) == ("a4", "seven")
+    # "two" is a head answer: were the record the manifest's, a4 would move cell
+    record.answer = "two"
+    assert manifest.records[3].answer == "seven"
+    assert manifest.answers == answers
+    assert manifest.groups == groups
+    assert assignment.cells == SplitAssignment(manifest, "legacy").cells == (0, 0, 1, 1)
+    assert accuracy_report(manifest, assignment, preds) == report
+
+
+def test_the_pipeline_builds_no_record_and_no_labels(write_jsonl, tmp_path, monkeypatch):
+    rows = [
+        qa_row(i, task=["audio", "visual"][i % 2], answer=["one", "two", "three"][i % 3],
+               video_id=f"v{i // 4}", difficulty=i % 3)
+        for i in range(24)
+    ]
+    rows[5]["rephrase_of"] = "q4"
+    path = write_jsonl(rows)
+    ppath = tmp_path / "preds.jsonl"
+    ppath.write_text("".join(f'{{"id": "q{i}", "prediction": "one"}}\n' for i in range(24)))
+
+    def no_record(self, *args, **kwargs):
+        raise AssertionError("a QARecord was built")
+
+    monkeypatch.setattr(QARecord, "__init__", no_record)
+    manifest = parse_dataset(path)
+    assignment = SplitAssignment(manifest, "conformal")
+    report = accuracy_report(manifest, assignment, parse_predictions(ppath))
+    sample = uniform_sample(manifest, assignment, 0.5, seed=1)
+    distribution_report(manifest, assignment, manifest)
+    write_split(assignment, tmp_path / "split.json")
+    write_dataset(sample, tmp_path / "sample.jsonl")
+    assert "labels" not in vars(assignment)
+    assert report.rollup().count == 24 and len(sample) == 12
+    # the patch does stop a record from being built
+    with pytest.raises(AssertionError, match="a QARecord was built"):
+        sample.records
 
 
 def reference_cells(manifest, assignment, preds):

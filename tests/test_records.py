@@ -10,10 +10,11 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avqabench import records as records_module
 from avqabench.records import (
+    TASKS,
     DatasetError,
     DatasetManifest,
     GroupKey,
@@ -186,13 +187,9 @@ def test_extras_holding_a_schema_field_are_not_written(key, form, tmp_path):
     # the error names the key whether the caller passed pairs or a dict
     rec = QARecord(id="q1", task="audio", question_type="Counting", question="?", answer="two",
                    extras=form((("difficulty", "easy"), (key, "q2"))))
-    message = f"record 'q1': extras key {key!r} is a schema field"
-    with pytest.raises(ValueError) as info:
-        rec.to_dict()
-    assert str(info.value) == message
     with pytest.raises(ValueError) as info:
         write_dataset(DatasetManifest([rec]), tmp_path / "out.jsonl")
-    assert str(info.value) == message
+    assert str(info.value) == f"record 'q1': extras key {key!r} is a schema field"
 
 
 def test_labels_share_one_string_per_distinct_value(write_jsonl):
@@ -308,6 +305,8 @@ def test_a_manifest_is_frozen(write_jsonl):
     with pytest.raises(dataclasses.FrozenInstanceError):
         manifest.records = manifest.records[:1]
     with pytest.raises(dataclasses.FrozenInstanceError):
+        manifest.answers = ("two", "two")
+    with pytest.raises(dataclasses.FrozenInstanceError):
         manifest.groups = {}
     assert len(manifest) == 2
     assert manifest.groups == {("avqa", "Counting"): Counter({"one": 2})}
@@ -328,12 +327,27 @@ def test_extras_keep_their_key_order(write_jsonl, tmp_path):
 def test_records_are_a_tuple_that_cannot_grow(write_jsonl):
     manifest = parse_dataset(write_jsonl([qa_row(1), qa_row(2)]))
     assert type(manifest.records) is tuple
+    columns = [f.name for f in dataclasses.fields(manifest) if f.name != "groups"]
+    assert all(type(getattr(manifest, name)) is tuple for name in columns)
+    assert manifest.ids == ("q1", "q2") and manifest.answers == ("one", "one")
     with pytest.raises(AttributeError):
         manifest.records.append(QARecord("q3", "avqa", "Counting", "?", "one"))
     # any iterable of records builds a manifest
     rebuilt = DatasetManifest(rec for rec in manifest.records)
     assert rebuilt.records == manifest.records
     assert rebuilt == manifest
+
+
+def test_a_manifest_rejects_a_repeated_id():
+    # q1 and q3 are each passed twice; the id whose repeat comes first is named
+    records = [
+        QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="x")
+        for i in (0, 1, 2, 1, 3, 3, 4)
+    ]
+    with pytest.raises(ValueError) as info:
+        DatasetManifest(records)
+    assert str(info.value) == "dataset repeats the id 'q1'"
+    assert DatasetManifest(records[:3] + records[5:]).ids == ("q0", "q1", "q2", "q3", "q4")
 
 
 def test_parse_groups_match_from_records(write_jsonl):
@@ -385,7 +399,8 @@ def test_parsed_records_retain_less_than_decoded_lines(write_jsonl):
     lines = path.read_text(encoding="utf-8").splitlines()
     decoded = _retained_bytes(lambda: [json.loads(line) for line in lines])
     parsed = _retained_bytes(lambda: parse_dataset(path))
-    # 0.28 with one extras tuple per distinct value, 0.43 with a dict per
+    # 0.24 with a tuple per field and one extras tuple per distinct value,
+    # 0.28 with a record object per line, 0.43 with an extras dict per
     # record, 0.78 with a copy of each label per record (CPython 3.11)
     assert parsed <= 0.3 * decoded, (parsed / len(rows), decoded / len(rows))
 
@@ -665,3 +680,63 @@ def test_grouping_partitions_record_ids(ids, tasks, qtypes):
     )
     # rebuilding from the same records yields identical grouping
     assert DatasetManifest(records).groups == manifest.groups
+
+
+# JSON strings of any character but a lone surrogate, which UTF-8 cannot hold
+json_texts = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+# every type of value records may share extras for, then a float and a list
+extras_values = st.one_of(
+    json_texts,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(), max_size=2),
+)
+SCHEMA_FIELDS = ("id", "task", "question_type", "question", "answer", "video_id", "rephrase_of")
+
+
+@st.composite
+def canonical_dataset_texts(draw):
+    """The text of a dataset in the form write_dataset gives: json.dumps of
+    each record, the schema fields in order, then the extras."""
+    ids = draw(st.lists(json_texts.filter(bool), max_size=8, unique=True))
+    lines = []
+    for i, rec_id in enumerate(ids):
+        row = {
+            "id": rec_id,
+            "task": draw(st.sampled_from(TASKS)),
+            "question_type": draw(json_texts.map(str.strip).filter(bool)),
+            "question": draw(json_texts),
+            "answer": draw(json_texts),
+        }
+        if draw(st.booleans()):
+            row["video_id"] = draw(json_texts)
+        # an earlier record, so that no reference makes a cycle
+        if i and draw(st.booleans()):
+            row["rephrase_of"] = draw(st.sampled_from(ids[:i]))
+        keys = json_texts.filter(lambda key: key not in SCHEMA_FIELDS)
+        row.update(draw(st.dictionaries(keys, extras_values, max_size=3)))
+        lines.append(json.dumps(row, ensure_ascii=False) + "\n")
+    return "".join(lines)
+
+
+@settings(max_examples=150)
+@given(text=canonical_dataset_texts())
+@example(
+    text="".join(
+        json.dumps(row, ensure_ascii=False) + "\n"
+        for row in [
+            qa_row(1, video_id="v1", note="take\u20282", votes=3, checked=True, source=None),
+            qa_row(2, rephrase_of="q1", note="take\u20282", votes=3, checked=True, source=None),
+            qa_row(3, score=-0.0, tags=["ü", 1], big=2**70),
+            qa_row(4, question='a "quoted"\\ \x01 question'),
+        ]
+    )
+)
+def test_writing_a_parsed_canonical_dataset_gives_its_bytes(text, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("round-trip")
+    path, out = folder / "data.jsonl", folder / "out.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    write_dataset(parse_dataset(path), out)
+    assert out.read_bytes() == path.read_bytes()

@@ -239,17 +239,6 @@ class TestAssignment:
         assert assignment.labels == {}
         assert assignment.solutions == []
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_repeated_id_is_an_error(self, mode):
-        # six distinct ids, q1 passed twice: 6 labels for 7 records
-        records = [
-            QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="x")
-            for i in (0, 1, 1, 2, 3, 4, 5)
-        ]
-        with pytest.raises(ValueError) as info:
-            build_assignment(DatasetManifest(records), SplitConfig(mode))
-        assert str(info.value) == "dataset repeats the id 'q1'"
-
     def test_unknown_mode_rejected(self):
         manifest = _manifest_from_counts({"x": 1})
         with pytest.raises(ValueError, match="unknown split mode"):
@@ -348,15 +337,29 @@ class TestAssignment:
         write_split(build_assignment(copy.deepcopy(manifest), SplitConfig(mode)), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("escaped", [False, True], ids=["plain-ids", "escaped-ids"])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("answers", [{"x": 7, "y": 2, "z": 1}, {"ünï": 3, "コード": 2, "e\u2028f": 1}, {}])
-    def test_split_file_is_the_indented_json_text(self, answers, mode, tmp_path):
+    def test_split_file_is_the_indented_json_text(self, answers, mode, escaped, tmp_path):
         manifest = _manifest_from_counts(answers, qtype="Zählen")
+        if escaped:
+            # ids JSON must escape, or writes raw though they are not ASCII
+            marks = ['"', "\\", "\x01", "\u2028", "ü"]
+            manifest = DatasetManifest(
+                replace(rec, id=f"{marks[i % 5]}{rec.id}") for i, rec in enumerate(manifest.records)
+            )
         assignment = build_assignment(manifest, SplitConfig(mode))
         path = tmp_path / "split.json"
         write_split(assignment, path)
-        expected = json.dumps(assignment.to_dict(), indent=2, ensure_ascii=False) + "\n"
+        doc = {
+            "groups": [sol.to_dict() for sol in assignment.solutions],
+            "assignments": assignment.labels,
+        }
+        expected = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
+        if escaped and answers:
+            for text in ['"\\"q0"', '"\\\\q1"', '"\\u0001q2"', '"\u2028q3"', '"üq4"']:
+                assert f"\n    {text}: " in expected
 
 
 def _group_counts(manifest):
@@ -549,6 +552,20 @@ class TestBinding:
         with pytest.raises(ValueError) as info:
             stage(DatasetManifest(given), assignment)
         assert str(info.value) == "split assignment was built from another dataset"
+
+    def test_splits_of_datasets_that_differ_only_in_their_ids_are_unequal(self):
+        renamed = [replace(rec, id=f"r{rec.id}") for rec in TWO_GROUPS]
+        split = SplitAssignment(DatasetManifest(TWO_GROUPS), "conformal")
+        other = SplitAssignment(DatasetManifest(renamed), "conformal")
+
+        def derived(assignment):
+            return assignment.solutions, assignment.cell_keys, assignment.cell_sizes, assignment.cells
+
+        assert derived(split) == derived(other)
+        assert split != other
+        assert split == SplitAssignment(DatasetManifest(TWO_GROUPS), "conformal")
+        # comparing splits does not build their labels
+        assert "labels" not in vars(split) and "labels" not in vars(other)
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_a_stage_accepts_an_equal_dataset(self, stage):

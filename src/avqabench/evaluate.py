@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import eq
-from typing import Iterable
 
 from .records import DatasetManifest
 from .split import SplitAssignment
@@ -48,28 +47,34 @@ class CellStats:
         return {"count": self.count, "correct": self.correct, "accuracy": self.accuracy}
 
 
-def _merge(cells: Iterable[CellStats]) -> CellStats | None:
-    merged = CellStats()
-    for cell in cells:
-        merged.count += cell.count
-        merged.correct += cell.correct
-    return merged if merged.count else None
+# the roll-ups of a task, or of every task pooled: each name and the part it sums
+_ROLLUPS = (("head", "head"), ("tail", "tail"), ("overall", None))
 
 
 @dataclass
 class EvalReport:
     """Per-cell accuracies keyed (task, question_type, head|tail), with
-    sample-weighted rollups. Cells with no samples are absent."""
+    sample-weighted rollups. Cells with no samples are absent.
+
+    `to_dict` gives {"cells": [...], "tasks": {...}, "pooled": {...}}.
+    "cells" holds a dict per cell, in key order: its task, question_type,
+    split (head|tail), count, correct and accuracy. "tasks" maps each task,
+    sorted, to its "head", "tail" and "overall" roll-ups, and "pooled"
+    gives the same three over all tasks. A roll-up is a dict of count,
+    correct and accuracy, or None when it holds no records."""
 
     cells: dict[tuple[str, str, str], CellStats]
 
     def rollup(self, task: str | None = None, part: str | None = None) -> CellStats | None:
-        """The merged cells of one task (None: all) and one part (None: both)."""
-        return _merge(
+        """The summed cells of one task (None: all) and one part (None: both),
+        or None when they hold no records."""
+        picked = [
             stats
             for (t, _, p), stats in self.cells.items()
             if task in (None, t) and part in (None, p)
-        )
+        ]
+        count = sum(stats.count for stats in picked)
+        return CellStats(count, sum(stats.correct for stats in picked)) if count else None
 
     def tasks(self) -> list[str]:
         return sorted({t for (t, _, _) in self.cells})
@@ -78,8 +83,9 @@ class EvalReport:
         return sorted({q for (_, q, _) in self.cells})
 
     def to_dict(self) -> dict:
-        def maybe(stats: CellStats | None) -> dict | None:
-            return stats.to_dict() if stats is not None else None
+        def rollups(task: str | None) -> dict[str, dict | None]:
+            parts = ((name, self.rollup(task, part)) for name, part in _ROLLUPS)
+            return {name: None if stats is None else stats.to_dict() for name, stats in parts}
 
         return {
             "cells": [
@@ -91,19 +97,8 @@ class EvalReport:
                 }
                 for (t, q, p), stats in self.cells.items()
             ],
-            "tasks": {
-                task: {
-                    "head": maybe(self.rollup(task, "head")),
-                    "tail": maybe(self.rollup(task, "tail")),
-                    "overall": maybe(self.rollup(task)),
-                }
-                for task in self.tasks()
-            },
-            "pooled": {
-                "head": maybe(self.rollup(part="head")),
-                "tail": maybe(self.rollup(part="tail")),
-                "overall": maybe(self.rollup()),
-            },
+            "tasks": {task: rollups(task) for task in self.tasks()},
+            "pooled": rollups(None),
         }
 
     def render_table(self) -> str:
@@ -112,33 +107,19 @@ class EvalReport:
         def fmt(stats: CellStats | None) -> str:
             return f"{stats.accuracy:.6g}" if stats is not None else "-"
 
-        tasks = self.tasks()
-        header = ["question_type"]
-        for task in tasks:
-            header += [f"{task} H", f"{task} T"]
-        rows = [header]
+        columns = [(task, part) for task in self.tasks() for part in ("head", "tail")]
+        rows = [["question_type", *(f"{task} {part[0].upper()}" for task, part in columns)]]
         for qtype in self.question_types():
-            row = [qtype]
-            for task in tasks:
-                row.append(fmt(self.cells.get((task, qtype, "head"))))
-                row.append(fmt(self.cells.get((task, qtype, "tail"))))
-            rows.append(row)
-        summary = ["all"]
-        for task in tasks:
-            summary.append(fmt(self.rollup(task, "head")))
-            summary.append(fmt(self.rollup(task, "tail")))
-        rows.append(summary)
+            rows.append([qtype, *(fmt(self.cells.get((t, qtype, p))) for t, p in columns)])
+        rows.append(["all", *(fmt(self.rollup(task, part)) for task, part in columns)])
 
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         lines = [
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
             for row in rows
         ]
-        lines.append(
-            "pooled: head {} tail {} overall {}".format(
-                fmt(self.rollup(part="head")), fmt(self.rollup(part="tail")), fmt(self.rollup())
-            )
-        )
+        pooled = (f"{name} {fmt(self.rollup(part=part))}" for name, part in _ROLLUPS)
+        lines.append("pooled: " + " ".join(pooled))
         return "\n".join(lines)
 
 

@@ -354,9 +354,9 @@ def parse_predictions(path: str | Path) -> dict[str, str]:
     """Parse a line-delimited prediction file into {id: prediction}.
 
     One record per non-empty line, kept in file order; duplicate ids
-    within one file are an error, as is a line without a 'prediction'
-    field. Equal predictions share one string, through a dict local to
-    this parse.
+    within one file are an error, as are an empty id (as in a dataset) and
+    a line without a 'prediction' field. Equal predictions share one
+    string, through a dict local to this parse.
     """
     preds: dict[str, str] = {}
     shared: dict[str, str] = {}
@@ -364,6 +364,8 @@ def parse_predictions(path: str | Path) -> dict[str, str]:
         rec_id = raw.get("id", _MISSING)
         if type(rec_id) is not str:
             raise _field_error(line_no, "id", rec_id)
+        if not rec_id:
+            raise DatasetError(f"line {line_no}: field 'id' must be non-empty")
         prediction = raw.get("prediction", _MISSING)
         if type(prediction) is not str:
             raise _field_error(line_no, "prediction", prediction)

@@ -298,37 +298,25 @@ def distribution_report(
     groups = []
     for sol in assignment.solutions:
         key = sol.key
-        head, tail = Counter(), Counter()
-        for answer, count in manifest.groups[key].items():
-            (head if answer in sol.head_answers else tail)[answer] = count
         in_reference = key in reference.groups
         ref = reference.groups.get(key, Counter())
-        ref_freq = _frequencies(ref)
-        head_freq = _frequencies(head)
-        tail_freq = _frequencies(tail)
-        groups.append(
-            {
-                "task": key.task,
-                "question_type": key.question_type,
-                "missing_in_reference": not in_reference,
-                "reference_total": ref.total(),
-                "head_total": head.total(),
-                "tail_total": tail.total(),
-                "reference_freq": dict(sorted(ref_freq.items())),
-                "head_freq": dict(sorted(head_freq.items())),
-                "tail_freq": dict(sorted(tail_freq.items())),
-                "tv_reference_head": (
-                    total_variation(ref_freq, head_freq)
-                    if in_reference and head_freq
-                    else None
-                ),
-                "tv_reference_tail": (
-                    total_variation(ref_freq, tail_freq)
-                    if in_reference and tail_freq
-                    else None
-                ),
-            }
-        )
+        counts = {"reference": ref, "head": Counter(), "tail": Counter()}
+        for answer, count in manifest.groups[key].items():
+            counts[_PARTS[answer not in sol.head_answers]][answer] = count
+        freqs = {name: dict(sorted(_frequencies(c).items())) for name, c in counts.items()}
+        group = {
+            "task": key.task,
+            "question_type": key.question_type,
+            "missing_in_reference": not in_reference,
+        }
+        group.update((f"{name}_total", c.total()) for name, c in counts.items())
+        group.update((f"{name}_freq", freq) for name, freq in freqs.items())
+        for part in _PARTS:
+            paired = in_reference and freqs[part]
+            group[f"tv_reference_{part}"] = (
+                total_variation(freqs["reference"], freqs[part]) if paired else None
+            )
+        groups.append(group)
     return {"groups": groups}
 
 

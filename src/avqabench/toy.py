@@ -112,7 +112,9 @@ def _draw_cues(rng, labels, num_classes, match_rate):
     return cues
 
 
-def _materialize(rng, spec, books, labels, cue_rate):
+def _materialize(rng, spec, books, size, cue_rate):
+    """A set of `size` samples, drawing its labels, then its cues, then its features."""
+    labels = rng.integers(0, spec.num_classes, size=size)
     _, n_audio = factor_sizes(spec.num_classes)
     video_factor = labels // n_audio
     audio_factor = labels % n_audio
@@ -132,14 +134,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[ToyDataset, ToyDataset, Toy
     """
     books = modality_codebooks(spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-    chance = 1.0 / spec.num_classes
-    train_labels = rng.integers(0, spec.num_classes, size=spec.train_size)
-    train = _materialize(rng, spec, books, train_labels, spec.bias_rate)
-    head_labels = rng.integers(0, spec.num_classes, size=spec.head_test_size)
-    head = _materialize(rng, spec, books, head_labels, spec.bias_rate)
-    tail_labels = rng.integers(0, spec.num_classes, size=spec.tail_test_size)
-    tail = _materialize(rng, spec, books, tail_labels, chance)
-    return train, head, tail
+    draws = (
+        (spec.train_size, spec.bias_rate),
+        (spec.head_test_size, spec.bias_rate),
+        (spec.tail_test_size, 1.0 / spec.num_classes),
+    )
+    return tuple(_materialize(rng, spec, books, size, cue_rate) for size, cue_rate in draws)
 
 
 @dataclass
@@ -264,23 +264,16 @@ def train(
     return {name: block.copy() for name, block in params.items()}, trace
 
 
-def _fusion_accuracy(params, dataset) -> tuple[int, int]:
-    _, logits = _forward_batch(params, dataset.features)
-    predicted = logits[3].argmax(axis=-1)
-    return int((predicted == dataset.labels).sum()), len(dataset)
-
-
 def evaluate_toy(
     params: dict[str, np.ndarray], head_test: ToyDataset, tail_test: ToyDataset
 ) -> dict:
     """Fusion-argmax accuracy on head, tail, and both pooled."""
-    head_correct, head_n = _fusion_accuracy(params, head_test)
-    tail_correct, tail_n = _fusion_accuracy(params, tail_test)
-    return {
-        "head_acc": head_correct / head_n,
-        "tail_acc": tail_correct / tail_n,
-        "overall_acc": (head_correct + tail_correct) / (head_n + tail_n),
-    }
+    tally = {}
+    for name, dataset in (("head", head_test), ("tail", tail_test)):
+        _, logits = _forward_batch(params, dataset.features)
+        tally[name] = int((logits[3].argmax(axis=-1) == dataset.labels).sum()), len(dataset)
+    tally["overall"] = tuple(map(sum, zip(*tally.values())))
+    return {f"{name}_acc": correct / n for name, (correct, n) in tally.items()}
 
 
 def run_experiment(spec: SyntheticSpec, tcfg: TrainConfig) -> dict:
@@ -302,37 +295,29 @@ def run_paired_experiment(
     """Debias-on vs answer-loss-only runs over paired seeds.
 
     Each seed fixes data, initialization, and batch order for both arms;
-    only the loss weights differ. The summary reports the median head and
-    tail accuracies per arm and the median-over-seeds paired differences.
+    only the loss weights differ. The runs go seed by seed, in the order
+    given, each seed's debias run before its baseline run. The summary's
+    seven keys are "seeds", the medians over seeds of each arm's tail and
+    head accuracy ("median_tail_debias", "median_tail_baseline",
+    "median_head_debias", "median_head_baseline"), and the medians of the
+    per-seed debias minus baseline differences, "median_tail_gain" on tail
+    and "median_head_shift" on head.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
-    baseline_cfg = replace(tcfg, debias=DebiasConfig(alpha=0.0, beta=0.0))
+    arms = {"debias": tcfg, "baseline": replace(tcfg, debias=DebiasConfig(alpha=0.0, beta=0.0))}
     runs = []
     for seed in seeds:
-        seeded_spec = replace(spec, seed=seed)
-        for arm, cfg in (("debias", tcfg), ("baseline", baseline_cfg)):
-            run = run_experiment(seeded_spec, replace(cfg, seed=seed))
+        for arm, cfg in arms.items():
+            run = run_experiment(replace(spec, seed=seed), replace(cfg, seed=seed))
             run["arm"] = arm
             runs.append(run)
-    by_arm = {
-        arm: [r for r in runs if r["arm"] == arm] for arm in ("debias", "baseline")
-    }
-    tail_gains = [
-        d["tail_acc"] - b["tail_acc"]
-        for d, b in zip(by_arm["debias"], by_arm["baseline"])
-    ]
-    head_shifts = [
-        d["head_acc"] - b["head_acc"]
-        for d, b in zip(by_arm["debias"], by_arm["baseline"])
-    ]
-    summary = {
-        "seeds": list(seeds),
-        "median_tail_debias": median(r["tail_acc"] for r in by_arm["debias"]),
-        "median_tail_baseline": median(r["tail_acc"] for r in by_arm["baseline"]),
-        "median_head_debias": median(r["head_acc"] for r in by_arm["debias"]),
-        "median_head_baseline": median(r["head_acc"] for r in by_arm["baseline"]),
-        "median_tail_gain": median(tail_gains),
-        "median_head_shift": median(head_shifts),
-    }
+    debias, baseline = runs[0::2], runs[1::2]
+    summary = {"seeds": list(seeds)}
+    for split in ("tail", "head"):
+        for arm, arm_runs in zip(arms, (debias, baseline)):
+            summary[f"median_{split}_{arm}"] = median(r[f"{split}_acc"] for r in arm_runs)
+    for name, split in (("median_tail_gain", "tail"), ("median_head_shift", "head")):
+        acc = f"{split}_acc"
+        summary[name] = median(d[acc] - b[acc] for d, b in zip(debias, baseline))
     return {"runs": runs, "summary": summary}

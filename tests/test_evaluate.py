@@ -1,6 +1,7 @@
 """Accuracy reporting, answer matching and sampling."""
 
 import copy
+import json
 import random
 
 import pytest
@@ -168,6 +169,26 @@ class TestAccuracyReport:
         assert "audio H" in table and "audio T" in table
         assert "pooled:" in table
 
+    def test_table_text_with_an_absent_cell(self):
+        manifest, assignment, preds = fixture_manifest_and_preds()
+        # one class of three: under the legacy rule it is tail, so the
+        # visual Location head cell holds no record
+        manifest = make_manifest(
+            [(r.id, r.task, r.question_type, r.answer) for r in manifest.records]
+            + [(f"v{i}", "visual", "Location", "left") for i in range(3)]
+        )
+        assignment = SplitAssignment(manifest, "legacy")
+        preds = {**preds, "v0": "left", "v1": "right", "v2": "Left."}
+        report = accuracy_report(manifest, assignment, preds)
+        assert ("visual", "Location", "head") not in report.cells
+        assert report.render_table() == (
+            "question_type  audio H  audio T  visual H  visual T\n"
+            "Counting       1        0.5      -         -\n"
+            "Location       -        -        -         0.666667\n"
+            "all            1        0.5      -         0.666667\n"
+            "pooled: head 1 tail 0.6 overall 0.714286"
+        )
+
 
 def test_a_record_taken_from_a_manifest_is_a_copy():
     manifest, assignment, preds = fixture_manifest_and_preds()
@@ -250,16 +271,33 @@ def test_accuracy_cells_match_a_per_record_reference(pipeline):
     assert list(report.cells) == sorted(report.cells)
     cells = reference_cells(manifest, assignment, preds)
     assert {key: (s.count, s.correct) for key, s in report.cells.items()} == cells
+
+    def rolled_up(task, part):
+        """The roll-up of one task and part as a dict, or None when empty."""
+        merged = [
+            c for (t, _, p), c in cells.items() if task in (None, t) and part in (None, p)
+        ]
+        if not merged:
+            return None
+        count, correct = map(sum, zip(*merged))
+        return {"count": count, "correct": correct, "accuracy": correct / count}
+
     for task in (None, "audio", "visual", "avqa"):
         for part in (None, "head", "tail"):
-            merged = [
-                c for (t, _, p), c in cells.items() if task in (None, t) and part in (None, p)
-            ]
             stats = report.rollup(task, part)
-            if merged:
-                assert (stats.count, stats.correct) == tuple(map(sum, zip(*merged)))
-            else:
-                assert stats is None
+            assert (None if stats is None else stats.to_dict()) == rolled_up(task, part)
+
+    def parts(task):
+        return {"head": rolled_up(task, "head"), "tail": rolled_up(task, "tail"),
+                "overall": rolled_up(task, None)}
+
+    doc = report.to_dict()
+    assert list(doc) == ["cells", "tasks", "pooled"]
+    assert [(c["task"], c["question_type"], c["split"]) for c in doc["cells"]] == sorted(cells)
+    # json.dumps keeps key order, so equal texts also pin the order of every key
+    tasks = {task: parts(task) for task in sorted({t for t, _, _ in cells})}
+    assert json.dumps(doc["tasks"]) == json.dumps(tasks)
+    assert json.dumps(doc["pooled"]) == json.dumps(parts(None))
 
 
 @given(scored_pipelines(), st.data())

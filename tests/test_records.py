@@ -586,6 +586,16 @@ def test_bad_prediction_field_names_line_and_field(field, value, tmp_path):
     assert str(info.value) == message
 
 
+def test_an_empty_prediction_id_names_its_line(tmp_path):
+    # an empty id pairs with no gold id, so it is rejected where it is read;
+    # it is checked before the prediction, as a dataset checks it first
+    path = tmp_path / "preds.jsonl"
+    path.write_text('{"id": "q1", "prediction": "no"}\n\n{"id": "", "prediction": 3}\n')
+    with pytest.raises(DatasetError) as info:
+        parse_predictions(path)
+    assert str(info.value) == "line 3: field 'id' must be non-empty"
+
+
 def test_predictions_basic(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text('{"id": "q1", "prediction": "yes"}\n{"id": "q2", "prediction": "no"}\n')

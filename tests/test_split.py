@@ -314,6 +314,12 @@ class TestAssignment:
         assert [(g["task"], g["question_type"]) for g in report["groups"]] == sorted(manifest.groups)
         for group in report["groups"]:
             key = (group["task"], group["question_type"])
+            assert list(group) == [
+                "task", "question_type", "missing_in_reference",
+                "reference_total", "head_total", "tail_total",
+                "reference_freq", "head_freq", "tail_freq",
+                "tv_reference_head", "tv_reference_tail",
+            ]
             for name, counts in [
                 ("head", cells.get((*key, "head"), Counter())),
                 ("tail", cells.get((*key, "tail"), Counter())),
@@ -325,6 +331,12 @@ class TestAssignment:
                     (a, c / total) for a, c in sorted(counts.items())
                 ]
             assert group["missing_in_reference"] == (key not in ref)
+            for part in ("head", "tail"):
+                tv = group[f"tv_reference_{part}"]
+                if key in ref and group[f"{part}_total"]:
+                    assert tv == total_variation(group["reference_freq"], group[f"{part}_freq"])
+                else:
+                    assert tv is None
 
     @settings(max_examples=60)
     @given(manifest=multi_group_manifests(), mode=st.sampled_from(MODES))

@@ -1,13 +1,16 @@
 """Stacked toy model: backward pass, determinism, divergence, parameter blocks."""
 
+import json
 import math
 from dataclasses import asdict, replace
+from pathlib import Path
+from statistics import median
 
 import numpy as np
 import pytest
 
 from avqabench import toy
-from avqabench.debias import DebiasConfig, LossBreakdown, batch_loss_and_grad
+from avqabench.debias import MODALITIES, DebiasConfig, LossBreakdown, batch_loss_and_grad
 from avqabench.toy import (
     SyntheticSpec,
     TrainConfig,
@@ -208,6 +211,67 @@ def test_train_returns_a_plain_dict_of_the_init_blocks():
     assert type(params) is dict
     assert list(params) == list(start)
     assert all(params[name].shape == block.shape for name, block in start.items())
+
+
+def test_head_sets_carry_the_biased_cue_and_the_tail_set_a_chance_cue():
+    spec = SyntheticSpec(num_classes=8, train_size=4000, head_test_size=4000,
+                         tail_test_size=4000, noise_std=0.0, seed=3)
+    books = toy.modality_codebooks(spec)
+    _, n_audio = toy.factor_sizes(spec.num_classes)
+    sets = generate_synthetic(spec)
+    assert [len(s) for s in sets] == [4000, 4000, 4000]
+    match_rates = []
+    for dataset in sets:
+        # noise-free features are codebook rows, and the rows are orthonormal
+        cue, video, audio = (
+            (feats @ books[name].T).argmax(axis=-1)
+            for feats, name in zip(dataset.features, MODALITIES)
+        )
+        np.testing.assert_array_equal(video * n_audio + audio, dataset.labels)
+        match_rates.append((cue == dataset.labels).mean())
+    train_rate, head_rate, tail_rate = match_rates
+    assert abs(train_rate - spec.bias_rate) < 0.02 and abs(head_rate - spec.bias_rate) < 0.02
+    assert abs(tail_rate - 1 / spec.num_classes) < 0.02
+
+
+def test_toy_accuracy_pools_head_and_tail_by_their_counts():
+    spec = replace(SPEC, head_test_size=16, tail_test_size=48)
+    _, head_test, tail_test = generate_synthetic(spec)
+    params = init_params(spec, CFG)
+    hits = [
+        int((_forward_batch(params, d.features)[1][3].argmax(axis=-1) == d.labels).sum())
+        for d in (head_test, tail_test)
+    ]
+    result = evaluate_toy(params, head_test, tail_test)
+    assert list(result.items()) == [
+        ("head_acc", hits[0] / 16), ("tail_acc", hits[1] / 48), ("overall_acc", sum(hits) / 64)
+    ]
+    assert result["overall_acc"] != result["head_acc"]
+
+
+def test_paired_summary_is_the_median_over_the_runs():
+    seeds = [2, 0, 1]
+    result = run_paired_experiment(SPEC, CFG, seeds)
+    runs = result["runs"]
+    # each seed in the order given, its debias run before its baseline run
+    assert [(r["seed"], r["arm"]) for r in runs] == [
+        (seed, arm) for seed in seeds for arm in ("debias", "baseline")
+    ]
+    assert [(r["alpha"], r["beta"]) for r in runs[1::2]] == [(0.0, 0.0)] * len(seeds)
+    debias, baseline = runs[0::2], runs[1::2]
+    expected = {"seeds": seeds}
+    for split in ("tail", "head"):
+        for arm, arm_runs in (("debias", debias), ("baseline", baseline)):
+            expected[f"median_{split}_{arm}"] = median(r[f"{split}_acc"] for r in arm_runs)
+    for name, split in (("median_tail_gain", "tail"), ("median_head_shift", "head")):
+        key = f"{split}_acc"
+        expected[name] = median(d[key] - b[key] for d, b in zip(debias, baseline))
+    summary = result["summary"]
+    assert summary == expected
+    assert list(summary) == list(expected)
+    # the key order the benchmark's record was written in
+    recorded = json.loads((Path(__file__).parents[1] / "benchmarks/toy_expected.json").read_text())
+    assert all(list(entry) == list(summary) for entry in recorded.values())
 
 
 def test_paired_experiment_generates_each_dataset_once(monkeypatch):

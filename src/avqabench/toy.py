@@ -270,8 +270,9 @@ def evaluate_toy(
     """Fusion-argmax accuracy on head, tail, and both pooled."""
     tally = {}
     for name, dataset in (("head", head_test), ("tail", tail_test)):
-        _, logits = _forward_batch(params, dataset.features)
-        tally[name] = int((logits[3].argmax(axis=-1) == dataset.labels).sum()), len(dataset)
+        # keep only the argmax, so no pass holds another's activations at its peak
+        predicted = _forward_batch(params, dataset.features)[1][3].argmax(axis=-1)
+        tally[name] = int((predicted == dataset.labels).sum()), len(dataset)
     tally["overall"] = tuple(map(sum, zip(*tally.values())))
     return {f"{name}_acc": correct / n for name, (correct, n) in tally.items()}
 

@@ -291,8 +291,8 @@ def distribution_report(
     reference (e.g. a training split), the head records, and the tail
     records, plus total-variation distances TV(reference, head) and
     TV(reference, tail). Groups missing from the reference are flagged
-    rather than fatal; an empty tail yields a null TV. A split of another
-    dataset is an error.
+    rather than fatal, with null TVs; an empty head or tail yields a null
+    TV. A split of another dataset is an error.
     """
     assignment.check_manifest(manifest)
     groups = []

@@ -28,12 +28,16 @@ plain mini-batch SGD on answer + discrepancy + cycle losses, with gradients
 propagated through the affine maps in closed form. During training the five
 blocks are views into one flat parameter vector and their gradients views
 into a second one, so the backward pass writes each gradient in place and a
-step is one in-place update of the whole vector.
+step is one in-place update of the whole vector. The backward pass's sums
+over samples, the enc_bias, head_bias and path_bias gradients, are BLAS
+products with a vector of ones, which cost fewer numpy calls at batch 32;
+they agree with `.sum` over the sample axis up to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from statistics import median
 
@@ -46,6 +50,17 @@ from .debias import (
     LossBreakdown,
     batch_loss_and_grad,
 )
+
+
+def _check_seed(seed) -> None:
+    """Reject at construction a seed that numpy's generators would refuse
+    only when the data or the weights are drawn."""
+    try:
+        valid = operator.index(seed) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass
@@ -71,6 +86,7 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be at least 1")
         if not math.isfinite(self.noise_std) or self.noise_std < 0:
             raise ValueError("noise_std must be finite and non-negative")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -160,6 +176,7 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be at least 1")
+        _check_seed(self.seed)
 
 
 def init_params(spec: SyntheticSpec, tcfg: TrainConfig) -> dict[str, np.ndarray]:
@@ -184,9 +201,11 @@ def init_params(spec: SyntheticSpec, tcfg: TrainConfig) -> dict[str, np.ndarray]
 
 def _forward_batch(params, feats):
     """Path inputs to the shared head (4, n, h) and logits (4, n, C)."""
-    emb = feats @ params["enc_weight"].transpose(0, 2, 1)
+    m, n, _ = feats.shape
+    hidden = np.empty((m + 1, n, params["enc_weight"].shape[1]))
+    emb = np.matmul(feats, params["enc_weight"].transpose(0, 2, 1), out=hidden[:m])
     emb += params["enc_bias"][:, None]
-    hidden = np.concatenate([emb, emb.sum(axis=0, keepdims=True)])
+    np.add.reduce(emb, out=hidden[m])
     hidden += params["path_bias"][:, None]
     logits = hidden @ params["head_weight"].T
     logits += params["head_bias"]
@@ -201,15 +220,18 @@ def _backward_batch(params, feats, hidden, grads, out):
     three embeddings, so each encoder receives its own path's gradient plus
     the fusion path's. Returns `out`.
     """
+    paths, n, c = grads.shape
+    ones = np.ones(paths * n)
     back = grads @ params["head_weight"]  # (4, n, h)
-    enc = back[:3] + back[3]
-    c, h = params["head_weight"].shape
+    np.matmul(ones[:n], back, out=out["path_bias"])
+    enc = back[:3]
+    enc += back[3]
     np.matmul(enc.transpose(0, 2, 1), feats, out=out["enc_weight"])
-    enc.sum(axis=1, out=out["enc_bias"])
+    np.matmul(ones[:n], enc, out=out["enc_bias"])
     # sum over paths and samples at once: one (C, 4n) @ (4n, h) product
-    np.matmul(grads.reshape(-1, c).T, hidden.reshape(-1, h), out=out["head_weight"])
-    grads.sum(axis=(0, 1), out=out["head_bias"])
-    back.sum(axis=1, out=out["path_bias"])
+    flat_grads = grads.reshape(-1, c)
+    np.matmul(flat_grads.T, hidden.reshape(paths * n, -1), out=out["head_weight"])
+    np.matmul(ones, flat_grads, out=out["head_bias"])
     return out
 
 
@@ -244,12 +266,12 @@ def train(
         sums = np.zeros(3)
         for start in range(0, n, tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
-            feats = train_set.features[:, idx]
+            feats = train_set.features.take(idx, axis=1)
             hidden, logits = _forward_batch(params, feats)
             l_a, l_d, l_c, logit_grads = batch_loss_and_grad(
-                logits, train_set.labels[idx], tcfg.debias
+                logits, train_set.labels.take(idx), tcfg.debias
             )
-            sums += (l_a.sum(), l_d.sum(), l_c.sum())
+            sums += (np.add.reduce(l_a), np.add.reduce(l_d), np.add.reduce(l_c))
             logit_grads /= len(idx)
             _backward_batch(params, feats, hidden, logit_grads, grads)
             # the elementwise arithmetic of `block -= lr * grad` per block

@@ -368,17 +368,40 @@ class TestGradients:
 
 
 class TestBatch:
-    def test_rows_match_batches_of_one(self):
+    # the class sums are BLAS products, which can add a batch's rows in
+    # another order than a batch of one's; from C = 8 on, numpy's pairwise
+    # `.sum` also adds in another order than a plain loop
+    @pytest.mark.parametrize("n, c", [(9, 7), (32, 8), (16, 13)])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DebiasConfig(alpha=0.05, beta=0.05),
+            DebiasConfig(),
+            DebiasConfig(alpha=0.05, beta=0.0),
+            DebiasConfig(alpha=0.0, beta=0.05),
+        ],
+        ids=["strong", "default", "discrepancy-only", "cycle-only"],
+    )
+    def test_rows_match_batches_of_one(self, n, c, cfg):
         rng = np.random.default_rng(6)
-        n, c = 9, 7
         logits = rng.normal(0.0, 1.5, size=(4, n, c))
         labels = rng.integers(0, c, size=n)
-        cfg = DebiasConfig(alpha=0.05, beta=0.05)
         *terms, grads = batch_loss_and_grad(logits, labels, cfg)
         for i in range(n):
             *single, single_grads = one_sample(logits[:, i], labels[i], cfg)
             np.testing.assert_allclose([t[i] for t in terms], single, rtol=1e-12)
             np.testing.assert_allclose(grads[:, i], single_grads, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int32])
+    def test_any_integer_label_dtype_gives_the_same_result(self, dtype):
+        rng = np.random.default_rng(8)
+        logits = rng.normal(0.0, 1.5, size=(4, 6, 5))
+        labels = rng.integers(0, 5, size=6)
+        for cfg in (DebiasConfig(), DebiasConfig(alpha=0.0, beta=0.0)):
+            expected = batch_loss_and_grad(logits, labels, cfg)
+            got = batch_loss_and_grad(logits, labels.astype(dtype), cfg)
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
 
     def test_zero_weights_leave_the_answer_gradient_alone(self):
         rng = np.random.default_rng(7)

@@ -92,6 +92,29 @@ def test_backward_matches_central_differences_for_every_block():
         np.testing.assert_allclose(analytic[name], numeric, rtol=1e-5, atol=1e-8, err_msg=name)
 
 
+@pytest.mark.parametrize("batch", [32, 1])
+def test_bias_gradients_equal_plain_sums_at_the_default_shapes(batch):
+    # h = 32, d = 16, C = 8: sums over samples as BLAS products against
+    # ndarray.sum, which adds in its own order
+    spec, cfg = SyntheticSpec(), TrainConfig()
+    params = init_params(spec, cfg)
+    params["path_bias"] += np.random.default_rng(1).normal(scale=0.3, size=params["path_bias"].shape)
+    train_set = generate_synthetic(spec)[0]
+    feats, labels = train_set.features[:, :batch], train_set.labels[:batch]
+    hidden, logits = _forward_batch(params, feats)
+    grads = batch_loss_and_grad(logits, labels, cfg.debias)[3] / batch
+    out = _backward_batch(params, feats, hidden, grads, fresh_grads(params))
+    back = grads @ params["head_weight"]
+    oracles = {
+        "enc_bias": (back[:3] + back[3]).sum(axis=1),
+        "head_bias": grads.sum(axis=(0, 1)),
+        "path_bias": back.sum(axis=1),
+    }
+    for name, expected in oracles.items():
+        assert out[name].shape == params[name].shape
+        np.testing.assert_allclose(out[name], expected, rtol=1e-12, err_msg=name)
+
+
 def test_same_spec_and_config_give_identical_runs():
     train_set, _, _ = generate_synthetic(SPEC)
     params_a, trace_a = train(SPEC, CFG, train_set)
@@ -169,6 +192,12 @@ OUT_OF_RANGE = [
     (TrainConfig, "epochs", 0, "epochs must be at least 1"),
     (TrainConfig, "batch_size", 0, "batch_size must be at least 1"),
     (TrainConfig, "hidden_dim", 0, "hidden_dim must be at least 1"),
+    (SyntheticSpec, "seed", -1, "seed must be a non-negative integer"),
+    (SyntheticSpec, "seed", 1.5, "seed must be a non-negative integer"),
+    (SyntheticSpec, "seed", "3", "seed must be a non-negative integer"),
+    (TrainConfig, "seed", -2, "seed must be a non-negative integer"),
+    (TrainConfig, "seed", 1.5, "seed must be a non-negative integer"),
+    (TrainConfig, "seed", 2.0, "seed must be a non-negative integer"),
 ]
 
 
@@ -181,6 +210,12 @@ def test_configs_reject_out_of_range_sizes_and_rates(config, name, value, messag
     with pytest.raises(ValueError) as info:
         config(**{name: value})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("config", [SyntheticSpec, TrainConfig])
+@pytest.mark.parametrize("seed", [0, 7, np.int64(3), np.uint8(2)])
+def test_configs_take_any_non_negative_integer_seed(config, seed):
+    assert config(seed=seed).seed == seed
 
 
 def test_paired_experiment_needs_a_seed():

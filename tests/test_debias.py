@@ -2,10 +2,11 @@
 finite-difference references."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avqabench.debias import (
     PATHS,
@@ -50,17 +51,49 @@ def kl_divergence(p, q) -> float:
         return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
+def decimal_log_softmax(row):
+    """(log p, p) of a row of Decimal logits, in the current decimal context."""
+    top = max(row)
+    e = [(x - top).exp() for x in row]
+    total = sum(e)
+    log_total = total.ln()
+    return [x - top - log_total for x in row], [v / total for v in e]
+
+
+def decimal_loss_parts(rows, label, cfg):
+    """(answer, discrepancy, cycle) of one sample as Decimals.
+
+    rows holds each path's `decimal_log_softmax` in PATHS order. The cycle
+    runs question -> audio -> video -> question.
+    """
+
+    def kl(p_path, q_path):
+        log_p, p = rows[p_path]
+        return sum(pk * (lp - lq) for pk, lp, lq in zip(p, log_p, rows[q_path][0]))
+
+    alpha, beta, epsilon = (Decimal(v) for v in (cfg.alpha, cfg.beta, cfg.epsilon))
+    answer = -rows[FUSION][0][label]
+    discrepancy = alpha * sum(1 / (kl(FUSION, m) + epsilon) for m in (QUESTION, VIDEO, AUDIO))
+    cycle = beta * sum(kl(j, k) for j, k in ((QUESTION, AUDIO), (AUDIO, VIDEO), (VIDEO, QUESTION)))
+    return answer, discrepancy, cycle
+
+
 def finite_diff_check(
     logits: np.ndarray, label: int, cfg: DebiasConfig, step: float = 1e-5
 ) -> float:
-    """Worst relative error of the analytic gradient vs central differences.
+    """Worst relative error of the analytic gradient vs central differences,
+    and of the returned loss parts vs the loss they differentiate.
 
     logits is one sample's (4, C) array in PATHS order, C >= 2, all finite.
-    Perturbs every entry by +/-step, evaluates all the perturbed samples as
-    one batch, and compares (L(+) - L(-)) / (2 step) against the closed
-    form, with denominator max(|analytic|, |numeric|, 1e-8). L(+) - L(-) is
-    summed from the differences of the three loss parts, so rounding in a
-    large part cannot swamp the change in a small one.
+    Perturbs every entry by +/-step and evaluates all the perturbed samples
+    as one batch. Each of their three loss parts is compared against the
+    same part evaluated at the same point in 50-digit decimal arithmetic,
+    and the closed-form gradient against (L(+) - L(-)) / (x(+) - x(-)) of
+    the decimal loss. Relative errors take the denominator max(|a|, |b|,
+    1e-8). The decimal loss resolves a gradient entry however small it is
+    beside the loss: in float64, a discrepancy of 78.5 rounds away changes
+    below 1.4e-14, and a gradient entry of 3e-6 moves the loss by only 6e-11
+    over a step pair of 1e-5.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -71,12 +104,32 @@ def finite_diff_check(
         raise ValueError("logits must be finite")
     entries = base.size
     shifts = step * np.eye(entries).reshape(entries, *base.shape)
-    perturbed = np.concatenate([base + shifts, base - shifts]).transpose(1, 0, 2)
-    *parts, _ = batch_loss_and_grad(perturbed, np.full(2 * entries, label), cfg)
-    numeric = sum(part[:entries] - part[entries:] for part in parts) / (2.0 * step)
+    points = np.concatenate([base + shifts, base - shifts])
+    *parts, _ = batch_loss_and_grad(points.transpose(1, 0, 2), np.full(2 * entries, label), cfg)
     analytic = batch_loss_and_grad(base[:, None], np.array([label]), cfg)[3].reshape(-1)
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / scale))
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        base_rows = [decimal_log_softmax([Decimal(x) for x in row]) for row in base]
+        exact = []
+        for k, point in enumerate(points):
+            # each point differs from base in one entry, so in one path
+            path = (k % entries) // base.shape[1]
+            rows = list(base_rows)
+            rows[path] = decimal_log_softmax([Decimal(x) for x in point[path]])
+            exact.append(decimal_loss_parts(rows, label, cfg))
+        numeric = []
+        for k in range(entries):
+            plus, minus = points[k].flat[k], points[entries + k].flat[k]
+            change = sum(exact[k]) - sum(exact[entries + k])
+            numeric.append(float(change / (Decimal(plus) - Decimal(minus))))
+        exact = np.array([[float(v) for v in point_parts] for point_parts in exact])
+
+    def worst(a, b):
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+        return float(np.max(np.abs(a - b) / scale))
+
+    return max(worst(analytic, np.array(numeric)), worst(np.stack(parts, axis=1), exact))
 
 
 def stack(fusion, question, video, audio):
@@ -116,10 +169,16 @@ def gapped_bundles(draw):
     difference at step 1e-5 resolves against the rounding of the loss.
     """
     c = draw(st.integers(min_value=2, max_value=16))
-    logits = random_logits(np.random.default_rng(draw(st.integers(0, 2**20))), c)
+    seed = draw(st.integers(0, 2**20))
     head = draw(st.sampled_from(["question", "video", "audio"]))
     entry = draw(st.integers(min_value=0, max_value=c - 1))
     gap = draw(st.floats(min_value=0, max_value=60))
+    return gapped_bundle(seed, c, head, entry, gap)
+
+
+def gapped_bundle(seed, c, head, entry, gap):
+    """`random_logits` of the seed with head's logit at entry lowered by gap."""
+    logits = random_logits(np.random.default_rng(seed), c)
     logits[PATHS.index(head), entry] -= gap
     return logits
 
@@ -356,6 +415,9 @@ class TestGradients:
     )
     @settings(max_examples=30, deadline=None)
     @given(logits=gapped_bundles(), label=st.integers(min_value=0, max_value=1))
+    # fusion ~ video puts their KL near the guard and the discrepancy at
+    # 78.5, while the question row's gradient entries are 3.1e-6
+    @example(logits=gapped_bundle(10, 2, "question", 0, 30.0), label=0)
     def test_finite_difference_random_bundles(self, cfg, logits, label):
         err = finite_diff_check(logits, label % logits.shape[1], cfg, step=1e-5)
         assert err < 1e-4

@@ -135,7 +135,8 @@ def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfi
 
     if cfg.alpha == 0 and cfg.beta == 0:
         # zero-weight terms are not computed: only the answer loss moves
-        grads = np.zeros_like(z)
+        # C order whatever z's layout, so the flat label indices reach it
+        grads = np.zeros(z.shape)
         grads[3] = probs[3]
         grads[3].ravel()[picked] -= 1.0
         return answer, np.zeros(n), np.zeros(n), grads
@@ -161,7 +162,7 @@ def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfi
     diff -= kl[..., None]
     d_p = np.multiply(p, weight, out=p)
     d_p *= diff
-    grads = np.empty_like(z)
+    grads = np.empty(z.shape)
     np.add(probs[3], np.add.reduce(d_p[:3]), out=grads[3])
     grads[3].ravel()[picked] -= 1.0
     np.add(d_q[:3], d_p[3:].take(_CYCLE_P_INV, axis=0), out=grads[:3])

@@ -465,6 +465,28 @@ class TestBatch:
             for a, b in zip(got, expected):
                 np.testing.assert_array_equal(a, b)
 
+    # the fusion gradient's one-hot term is written through flat indices,
+    # which must reach the returned array whatever the logits' layout
+    @pytest.mark.parametrize("layout", ["sample-major", "fortran", "strided"])
+    @pytest.mark.parametrize(
+        "cfg", [DebiasConfig(), DebiasConfig(alpha=0.0, beta=0.0)], ids=["debias", "answer-only"]
+    )
+    def test_any_logit_layout_gives_the_same_result(self, layout, cfg):
+        rng = np.random.default_rng(9)
+        n, c = 14, 8
+        if layout == "sample-major":  # as finite_diff_check passes its points
+            logits = rng.normal(0.0, 1.5, size=(n, 4, c)).transpose(1, 0, 2)
+        elif layout == "fortran":
+            logits = np.asfortranarray(rng.normal(0.0, 1.5, size=(4, n, c)))
+        else:  # every other sample, classes reversed
+            logits = rng.normal(0.0, 1.5, size=(4, 2 * n, c))[:, ::2, ::-1]
+        assert not logits.flags.c_contiguous
+        labels = rng.integers(0, c, size=n)
+        got = batch_loss_and_grad(logits, labels, cfg)
+        expected = batch_loss_and_grad(np.ascontiguousarray(logits), labels, cfg)
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
     def test_zero_weights_leave_the_answer_gradient_alone(self):
         rng = np.random.default_rng(7)
         n, c = 9, 5

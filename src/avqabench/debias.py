@@ -18,9 +18,13 @@ gradients for a batch at once, from logits stacked as (4, n, C) in `PATHS`
 order: question, video, audio, fusion. Every KL is taken in nats in log
 space, as sum softmax(z_p) * (log_softmax(z_p) - log_softmax(z_q)), which is
 exact and finite for any finite logits, however small a probability gets.
-When alpha and beta are both zero, as in an answer-loss-only baseline, the
-KLs are not computed at all: both terms are zero, the modality gradients
-are zero and the fusion gradient is softmax minus the one-hot label.
+Each KL's gradient lands on both of its operands, and every pair's
+gradient reaches the paths through one product with a routing table built
+from the pair list, so the pair list alone says which paths a KL touches.
+The answer gradient, softmax minus the one-hot label, is then added to the
+fusion path. When alpha and beta are both zero, as in an answer-loss-only
+baseline, only the KL block is skipped: both terms are zero, the modality
+gradients are zero and the fusion gradient is the answer gradient alone.
 
 A step at batch 32 and C = 8 is bound by the count of numpy calls, not by
 arithmetic, so the class-axis sum in each of the six KLs, sum over C of
@@ -46,10 +50,9 @@ CYCLE_PAIRS = (("question", "audio"), ("audio", "video"), ("video", "question"))
 # discrepancy pairs), then the cycle pairs J = [0, 2, 1], K = [2, 1, 0]
 _KL_P = np.array([3, 3, 3] + [PATHS.index(j) for j, _ in CYCLE_PAIRS])
 _KL_Q = np.array([0, 1, 2] + [PATHS.index(k) for _, k in CYCLE_PAIRS])
-# each cycle operand list is a permutation of the modalities; row m of a
-# (3, n, C) cycle array gathered by its inverse is the pair whose operand is m
-_CYCLE_P_INV = np.argsort(_KL_P[3:])
-_CYCLE_Q_INV = np.argsort(_KL_Q[3:])
+# row r has a 1 in column k where path r is pair k's p operand, and in
+# column 6 + k where it is pair k's q operand
+_ROUTE = np.eye(len(PATHS))[np.concatenate((_KL_P, _KL_Q))].T
 
 
 @dataclass
@@ -135,36 +138,30 @@ def batch_loss_and_grad(logits: np.ndarray, labels: np.ndarray, cfg: DebiasConfi
 
     if cfg.alpha == 0 and cfg.beta == 0:
         # zero-weight terms are not computed: only the answer loss moves
-        # C order whatever z's layout, so the flat label indices reach it
+        discrepancy, cycle = np.zeros(n), np.zeros(n)
         grads = np.zeros(z.shape)
-        grads[3] = probs[3]
-        grads[3].ravel()[picked] -= 1.0
-        return answer, np.zeros(n), np.zeros(n), grads
+    else:
+        p = probs.take(_KL_P, axis=0)
+        diff = logp.take(_KL_P, axis=0)
+        diff -= logp.take(_KL_Q, axis=0)
+        kl = (p * diff) @ np.ones(c)  # (6, n)
+        inv = 1.0 / (kl[:3] + cfg.epsilon)
+        discrepancy = cfg.alpha * np.add.reduce(inv)
+        cycle = cfg.beta * np.add.reduce(kl[3:])
 
-    p = probs.take(_KL_P, axis=0)
-    diff = logp.take(_KL_P, axis=0)
-    diff -= logp.take(_KL_Q, axis=0)
-    kl = (p * diff) @ np.ones(c)  # (6, n)
-    inv = 1.0 / (kl[:3] + cfg.epsilon)
-    discrepancy = cfg.alpha * np.add.reduce(inv)
-    cycle = cfg.beta * np.add.reduce(kl[3:])
-
-    weight = np.empty_like(kl)
-    np.square(inv, out=weight[:3])
-    weight[:3] *= -cfg.alpha
-    weight[3:] = cfg.beta
-    weight = weight[..., None]
-    # d_q, each weighted KL by its q operand, then d_p, by its p operand,
-    # both formed in place on the gathered arrays
-    d_q = probs.take(_KL_Q, axis=0)
-    d_q -= p
-    d_q *= weight
-    diff -= kl[..., None]
-    d_p = np.multiply(p, weight, out=p)
-    d_p *= diff
-    grads = np.empty(z.shape)
-    np.add(probs[3], np.add.reduce(d_p[:3]), out=grads[3])
+        weight = np.empty_like(kl)
+        np.square(inv, out=weight[:3])
+        weight[:3] *= -cfg.alpha
+        weight[3:] = cfg.beta
+        diff -= kl[..., None]
+        # each KL's weighted gradient at its p operand, then at its q operand
+        d = np.empty((2, *p.shape))
+        np.multiply(p, diff, out=d[0])
+        np.subtract(probs.take(_KL_Q, axis=0), p, out=d[1])
+        d *= weight[..., None]
+        grads = (_ROUTE @ d.reshape(2 * len(_KL_P), -1)).reshape(z.shape)
+    # either arm's grads is a fresh C-order array whatever z's layout, so
+    # the flat label indices reach it
+    grads[3] += probs[3]
     grads[3].ravel()[picked] -= 1.0
-    np.add(d_q[:3], d_p[3:].take(_CYCLE_P_INV, axis=0), out=grads[:3])
-    grads[:3] += d_q[3:].take(_CYCLE_Q_INV, axis=0)
     return answer, discrepancy, cycle, grads

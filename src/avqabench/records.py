@@ -19,10 +19,13 @@ counts each (task, question_type) group's answers when it is built, in one
 pass over the columns, so the counts cannot disagree with the records, and
 no column can gain, lose or change a value after a split has labelled the
 records. Its `records` are QARecord rows built from the columns on each
-read: copies, so changing one leaves the manifest as it was. A
-rephrase_of reference must name a record of the same dataset, and
-following the references from any record must end at a record without
-one: a cycle has no original question.
+read: copies, so changing one leaves the manifest as it was.
+`parse_dataset` requires a rephrase_of reference to name a record of the
+same dataset, and following the references from any record to end at a
+record without one: a cycle has no original question. A manifest built
+any other way is not checked. `DatasetManifest(rows)` accepts a dangling
+reference, and `select` makes one when it keeps a rephrasing without its
+target; the file `write_dataset` then writes fails to parse.
 
 Labels come from small closed sets and repeat across many records, so the
 records of a dataset share their task, question_type, answer and video_id
@@ -162,8 +165,11 @@ class DatasetManifest:
 
     def select(self, keep: Iterable[bool]) -> DatasetManifest:
         """The manifest of the records whose entry in `keep` is true, in file
-        order; its ids are distinct, as a subset of this manifest's."""
+        order; its ids are distinct, as a subset of this manifest's. `keep`
+        holds one entry per record."""
         keep = list(keep)
+        if len(keep) != len(self):
+            raise ValueError(f"keep has {len(keep)} entries for {len(self)} records")
         return self._of_columns([tuple(compress(column, keep)) for column in _columns(self)])
 
     @property

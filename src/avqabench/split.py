@@ -91,7 +91,7 @@ class SplitConfig:
     mode: str = "conformal"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitAssignment:
     """The split of the manifest it keeps under `mode`, one of MODES, and
     what it makes of the records, derived from the manifest's answer counts:
@@ -107,7 +107,8 @@ class SplitAssignment:
       is in its group's head set; built on its first read.
 
     Two splits are equal when their manifests and modes are. An unknown
-    mode is an error."""
+    mode is an error. A split is frozen, so it stays bound to the dataset it
+    was built from."""
 
     manifest: DatasetManifest = field(repr=False)
     mode: str
@@ -122,19 +123,23 @@ class SplitAssignment:
         rule = conformal_split if self.mode == "conformal" else legacy_split
         groups = self.manifest.groups
         keys = sorted(groups)
-        self.solutions = [rule(key, groups[key]) for key in keys]
-        self.cell_keys = tuple((*key, part) for key in keys for part in _PARTS)
+        solutions = [rule(key, groups[key]) for key in keys]
+        cell_keys = tuple((*key, part) for key in keys for part in _PARTS)
         # each distinct (task, question_type, answer) to its cell, once
         cell_of: dict[tuple[str, str, str], int] = {}
-        sizes = [0] * len(self.cell_keys)
-        for i, (key, sol) in enumerate(zip(keys, self.solutions)):
+        sizes = [0] * len(cell_keys)
+        for i, (key, sol) in enumerate(zip(keys, solutions)):
             for answer, count in groups[key].items():
                 cell = 2 * i + (answer not in sol.head_answers)
                 cell_of[(*key, answer)] = cell
                 sizes[cell] += count
-        self.cell_sizes = tuple(sizes)
         m = self.manifest
-        self.cells = tuple(map(cell_of.__getitem__, zip(m.tasks, m.question_types, m.answers)))
+        cells = tuple(map(cell_of.__getitem__, zip(m.tasks, m.question_types, m.answers)))
+        # the class is frozen, so its derived fields are set past __setattr__
+        object.__setattr__(self, "solutions", solutions)
+        object.__setattr__(self, "cell_keys", cell_keys)
+        object.__setattr__(self, "cell_sizes", tuple(sizes))
+        object.__setattr__(self, "cells", cells)
 
     @cached_property
     def labels(self) -> dict[str, str]:

@@ -63,6 +63,21 @@ def _check_seed(seed) -> None:
         raise ValueError("seed must be a non-negative integer")
 
 
+def _check_integers(config, *names) -> None:
+    """Reject at construction a size field that numpy or `range` would
+    refuse only later, with a bare TypeError: a non-integer, or a bool,
+    as numpy refuses `size=True`."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+            valid = not isinstance(value, bool)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{name} must be an integer")
+
+
 @dataclass
 class SyntheticSpec:
     num_classes: int = 8
@@ -75,6 +90,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(
+            self, "num_classes", "feature_dim", "train_size", "head_test_size", "tail_test_size"
+        )
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
         if self.feature_dim < self.num_classes:
@@ -170,6 +188,7 @@ class TrainConfig:
     def __post_init__(self):
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ValueError("learning_rate must be finite and positive")
+        _check_integers(self, "epochs", "batch_size", "hidden_dim")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:

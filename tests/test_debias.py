@@ -486,6 +486,9 @@ class TestBatch:
         expected = batch_loss_and_grad(np.ascontiguousarray(logits), labels, cfg)
         for a, b in zip(got, expected):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        grads = got[3]
+        assert grads.flags.c_contiguous
+        assert not np.shares_memory(grads, logits)
 
     def test_zero_weights_leave_the_answer_gradient_alone(self):
         rng = np.random.default_rng(7)

@@ -350,6 +350,19 @@ def test_a_manifest_rejects_a_repeated_id():
     assert DatasetManifest(records[:3] + records[5:]).ids == ("q0", "q1", "q2", "q3", "q4")
 
 
+@pytest.mark.parametrize("entries", [1, 2, 4, 5])
+def test_select_rejects_a_mask_of_another_length(entries):
+    records = [
+        QARecord(id=f"q{i}", task="avqa", question_type="Counting", question="?", answer="x")
+        for i in range(3)
+    ]
+    manifest = DatasetManifest(records)
+    with pytest.raises(ValueError) as info:
+        manifest.select([True] * entries)
+    assert str(info.value) == f"keep has {entries} entries for 3 records"
+    assert manifest.select([True, False, True]).ids == ("q0", "q2")
+
+
 def test_parse_groups_match_from_records(write_jsonl):
     rows = [qa_row(i, task=["audio", "visual"][i % 2], qtype=["Counting", "Location"][i % 3 > 0])
             for i in range(9)]

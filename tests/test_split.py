@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -546,6 +546,16 @@ class TestBinding:
         derived = getattr(build_assignment(manifest, SplitConfig()), name)
         with pytest.raises(TypeError):
             SplitAssignment(manifest, "conformal", **{name: derived})
+
+    @pytest.mark.parametrize(
+        "name", ["manifest", "mode", "solutions", "cell_keys", "cell_sizes", "cells"]
+    )
+    def test_a_split_cannot_be_rebound(self, name):
+        split = SplitAssignment(DatasetManifest(TWO_GROUPS), "conformal")
+        other = SplitAssignment(DatasetManifest(TWO_GROUPS[:3]), "legacy")
+        with pytest.raises(FrozenInstanceError):
+            setattr(split, name, getattr(other, name))
+        assert split == SplitAssignment(DatasetManifest(TWO_GROUPS), "conformal")
 
     @pytest.mark.parametrize(
         "mode", ["median", "Conformal", " legacy", "", None, 3, ["conformal"]], ids=repr

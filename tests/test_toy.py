@@ -198,6 +198,15 @@ OUT_OF_RANGE = [
     (TrainConfig, "seed", -2, "seed must be a non-negative integer"),
     (TrainConfig, "seed", 1.5, "seed must be a non-negative integer"),
     (TrainConfig, "seed", 2.0, "seed must be a non-negative integer"),
+    (SyntheticSpec, "train_size", 2.5, "train_size must be an integer"),
+    (SyntheticSpec, "num_classes", 8.0, "num_classes must be an integer"),
+    (SyntheticSpec, "feature_dim", 16.5, "feature_dim must be an integer"),
+    (SyntheticSpec, "head_test_size", True, "head_test_size must be an integer"),
+    (SyntheticSpec, "tail_test_size", "512", "tail_test_size must be an integer"),
+    (TrainConfig, "epochs", 2.0, "epochs must be an integer"),
+    (TrainConfig, "batch_size", 32.0, "batch_size must be an integer"),
+    (TrainConfig, "hidden_dim", 4.5, "hidden_dim must be an integer"),
+    (TrainConfig, "hidden_dim", np.True_, "hidden_dim must be an integer"),
 ]
 
 
@@ -216,6 +225,12 @@ def test_configs_reject_out_of_range_sizes_and_rates(config, name, value, messag
 @pytest.mark.parametrize("seed", [0, 7, np.int64(3), np.uint8(2)])
 def test_configs_take_any_non_negative_integer_seed(config, seed):
     assert config(seed=seed).seed == seed
+
+
+@pytest.mark.parametrize("size", [np.int64(16), np.uint8(16)])
+def test_configs_take_numpy_integer_sizes(size):
+    assert SyntheticSpec(feature_dim=size).feature_dim == size
+    assert TrainConfig(batch_size=size).batch_size == size
 
 
 def test_paired_experiment_needs_a_seed():
@@ -307,6 +322,23 @@ def test_paired_summary_is_the_median_over_the_runs():
     # the key order the benchmark's record was written in
     recorded = json.loads((Path(__file__).parents[1] / "benchmarks/toy_expected.json").read_text())
     assert all(list(entry) == list(summary) for entry in recorded.values())
+
+
+# the absolute tolerance the benchmark's output check allows each recorded
+# toy summary value (TOY_TOLERANCE in benchmarks/bench_checks.py): about
+# ten of the 512 head or tail test samples
+RECORD_TOLERANCE = 0.02
+
+
+def test_the_full_size_paired_summary_matches_the_benchmark_record():
+    # recorded by benchmarks/record_toy.py; read here, never written
+    path = Path(__file__).parents[1] / "benchmarks/toy_expected.json"
+    recorded = json.loads(path.read_text())["0,1"]
+    summary = run_paired_experiment(SyntheticSpec(), TrainConfig(), [0, 1])["summary"]
+    assert list(summary) == list(recorded)
+    assert summary["seeds"] == recorded["seeds"]
+    for key in list(recorded)[1:]:
+        assert summary[key] == pytest.approx(recorded[key], abs=RECORD_TOLERANCE), key
 
 
 def test_paired_experiment_generates_each_dataset_once(monkeypatch):

@@ -12,14 +12,17 @@ In both, lines are separated by "\n" only and each is decoded as UTF-8 on
 its own. A string may hold any other line or paragraph separator raw
 (U+2028, U+0085, form feed, ...), and a "\r" before the "\n" is JSON
 whitespace. Unknown extra fields on dataset records are preserved on
-round-trip but otherwise ignored. A DatasetManifest holds a dataset as
-columns: one tuple per field, in file order, so that the stages after the
-parse read the fields they need without a record object per line. It
-counts each (task, question_type) group's answers when it is built, in one
-pass over the columns, so the counts cannot disagree with the records, and
-no column can gain, lose or change a value after a split has labelled the
-records. Its `records` are QARecord rows built from the columns on each
-read: copies, so changing one leaves the manifest as it was.
+round-trip but otherwise ignored. A string may also hold a lone surrogate,
+from a JSON escape of a code point in U+D800..U+DFFF that is not half of a
+pair; UTF-8 cannot encode it, so the writers write it back as that escape.
+A DatasetManifest holds a dataset as columns: one tuple per field, in file
+order, so that the stages after the parse read the fields they need
+without a record object per line. It counts each (task, question_type)
+group's answers when it is built, in one pass over the columns, so the
+counts cannot disagree with the records, and no column can gain, lose or
+change a value after a split has labelled the records. Its `records` are
+QARecord rows built from the columns on each read: copies, so changing one
+leaves the manifest as it was.
 `parse_dataset` requires a rephrase_of reference to name a record of the
 same dataset, and following the references from any record to end at a
 record without one: a cycle has no original question. A manifest built
@@ -386,7 +389,7 @@ def write_dataset(manifest: DatasetManifest, path: str | Path) -> None:
     """Serialize a manifest back to the line-delimited format, a line at a time:
     the schema fields in their order, a null optional field left out, then
     the extras. Extras that hold a schema field are an error."""
-    with open(path, "w", encoding="utf-8") as out:
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as out:
         for rec_id, task, qtype, question, answer, video_id, rephrase_of, extras in zip(
             *_columns(manifest)
         ):

@@ -335,7 +335,7 @@ def write_split(assignment: SplitAssignment, path: str | Path) -> None:
     # every record's line but the last ends with a comma and the next line's indent
     ends = [f': "{part}",\n    ' for part in _PARTS] * len(assignment.solutions)
     lines = map(str.__add__, map(encode_basestring, ids[:-1]), map(ends.__getitem__, cells))
-    with open(path, "w", encoding="utf-8") as out:
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as out:
         out.write(head.removesuffix("\n}") + ',\n  "assignments": {')
         if ids:
             out.write("\n    ")

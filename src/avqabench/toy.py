@@ -40,6 +40,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
 from statistics import median
+from typing import Iterable
 
 import numpy as np
 
@@ -52,30 +53,20 @@ from .debias import (
 )
 
 
-def _check_seed(seed) -> None:
-    """Reject at construction a seed that numpy's generators would refuse
-    only when the data or the weights are drawn."""
-    try:
-        valid = operator.index(seed) >= 0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError("seed must be a non-negative integer")
-
-
-def _check_integers(config, *names) -> None:
-    """Reject at construction a size field that numpy or `range` would
-    refuse only later, with a bare TypeError: a non-integer, or a bool,
-    as numpy refuses `size=True`."""
-    for name in names:
+def _check_integers(config, least: dict[str, int]) -> None:
+    """Reject at construction each field that `least` maps to its least value,
+    if it is not an integer, is a bool (numpy refuses `size=True`) or is
+    below that value; numpy or `range` would refuse it only later."""
+    for name, floor in least.items():
         value = getattr(config, name)
         try:
-            operator.index(value)
-            valid = not isinstance(value, bool)
+            number = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
         except TypeError:
-            valid = False
-        if not valid:
+            number = None
+        if number is None:
             raise ValueError(f"{name} must be an integer")
+        if number < floor:
+            raise ValueError(f"{name} must be at least {floor}")
 
 
 @dataclass
@@ -90,21 +81,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(
-            self, "num_classes", "feature_dim", "train_size", "head_test_size", "tail_test_size"
-        )
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be at least 2")
+        _check_integers(self, dict(
+            num_classes=2, feature_dim=1, train_size=1, head_test_size=1, tail_test_size=1, seed=0
+        ))
         if self.feature_dim < self.num_classes:
             raise ValueError("feature_dim must be at least num_classes")
         if not 0.0 <= self.bias_rate <= 1.0:
             raise ValueError("bias_rate must lie in [0, 1]")
-        for name in ("train_size", "head_test_size", "tail_test_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
         if not math.isfinite(self.noise_std) or self.noise_std < 0:
             raise ValueError("noise_std must be finite and non-negative")
-        _check_seed(self.seed)
 
 
 @dataclass
@@ -182,26 +167,18 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     debias: DebiasConfig = field(default_factory=DebiasConfig)
-    seed: int = 0
     hidden_dim: int = 32
 
     def __post_init__(self):
         if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ValueError("learning_rate must be finite and positive")
-        _check_integers(self, "epochs", "batch_size", "hidden_dim")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be at least 1")
-        _check_seed(self.seed)
+        _check_integers(self, dict(epochs=1, batch_size=1, hidden_dim=1))
 
 
 def init_params(spec: SyntheticSpec, tcfg: TrainConfig) -> dict[str, np.ndarray]:
     """The five parameter blocks by name: symmetric uniform init scaled by
-    1/sqrt(fan_in), path biases zero."""
-    rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 2]))
+    1/sqrt(fan_in) and drawn from spec.seed, path biases zero."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
     d, h, c = spec.feature_dim, tcfg.hidden_dim, spec.num_classes
 
     def uniform(shape, fan_in):
@@ -269,7 +246,8 @@ def train(
     """Mini-batch SGD on the joint objective; returns the per-epoch trace.
 
     `train_set` is the first set generate_synthetic(spec) returns; `spec`
-    also sizes the model. Deterministic given (spec.seed, tcfg.seed).
+    also sizes the model. Deterministic given spec.seed, which also seeds
+    the initialization and the batch order.
     Raises RuntimeError naming the epoch if the loss stops being finite.
     """
     init = init_params(spec, tcfg)
@@ -277,7 +255,7 @@ def train(
     flat = np.concatenate([block.ravel() for block in init.values()])
     flat_grad = np.empty_like(flat)
     params, grads = _views(flat, init), _views(flat_grad, init)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 3]))
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 3]))
     n = len(train_set)
     trace: list[LossBreakdown] = []
     for epoch in range(tcfg.epochs):
@@ -323,7 +301,7 @@ def run_experiment(spec: SyntheticSpec, tcfg: TrainConfig) -> dict:
     train_set, head_test, tail_test = generate_synthetic(spec)
     params, trace = train(spec, tcfg, train_set)
     return {
-        "seed": tcfg.seed,
+        "seed": spec.seed,
         "alpha": tcfg.debias.alpha,
         "beta": tcfg.debias.beta,
         **evaluate_toy(params, head_test, tail_test),
@@ -332,7 +310,7 @@ def run_experiment(spec: SyntheticSpec, tcfg: TrainConfig) -> dict:
 
 
 def run_paired_experiment(
-    spec: SyntheticSpec, tcfg: TrainConfig, seeds: list[int]
+    spec: SyntheticSpec, tcfg: TrainConfig, seeds: Iterable[int]
 ) -> dict:
     """Debias-on vs answer-loss-only runs over paired seeds.
 
@@ -345,17 +323,18 @@ def run_paired_experiment(
     per-seed debias minus baseline differences, "median_tail_gain" on tail
     and "median_head_shift" on head.
     """
+    seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
     arms = {"debias": tcfg, "baseline": replace(tcfg, debias=DebiasConfig(alpha=0.0, beta=0.0))}
     runs = []
     for seed in seeds:
         for arm, cfg in arms.items():
-            run = run_experiment(replace(spec, seed=seed), replace(cfg, seed=seed))
+            run = run_experiment(replace(spec, seed=seed), cfg)
             run["arm"] = arm
             runs.append(run)
     debias, baseline = runs[0::2], runs[1::2]
-    summary = {"seeds": list(seeds)}
+    summary = {"seeds": seeds}
     for split in ("tail", "head"):
         for arm, arm_runs in zip(arms, (debias, baseline)):
             summary[f"median_{split}_{arm}"] = median(r[f"{split}_acc"] for r in arm_runs)

@@ -8,6 +8,10 @@ A target of `[project.scripts]` in `pyproject.toml` counts too. Tests do
 not: a name that only tests reach belongs in the test module that uses
 it. ENTRY_POINTS names the few kept for callers outside the repository.
 
+Every name a module-level import of `src/avqabench` binds is read in the
+code of its module, annotations included, so a stale import fails here:
+no linter runs on the package.
+
 README's table of modules lists exactly these names: each module's row
 names its public defs and classes, and its constants unless the sentence
 on constants names them, and a row names nothing else but the fields and
@@ -95,6 +99,25 @@ def _names_in(source: str) -> set[str]:
     return names
 
 
+def _unread_imports(source: str) -> list[str]:
+    """The names that one module's top-level imports bind, but that its code
+    never reads; a `__future__` import binds nothing."""
+    tree = ast.parse(source)
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in read]
+
+
 def _script_names(project: dict) -> set[str]:
     """Every module and attribute a `[project.scripts]` target names."""
     names = set()
@@ -125,6 +148,31 @@ def test_every_public_name_is_referenced():
         if name not in reached and qualified not in ENTRY_POINTS
     ]
     assert unreached == []
+
+
+def test_every_module_level_import_is_read():
+    unread = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _unread_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unread == []
+
+
+@pytest.mark.parametrize(
+    "source, unread",
+    [
+        ("import os", ["os"]),
+        ("import os.path\nos.sep", []),
+        ("import numpy as np\nx: np.ndarray", []),
+        ("from json import dumps, loads\ndumps(1)", ["loads"]),
+        ("from .records import Path as P\nP", []),
+        ("from __future__ import annotations", []),
+        ("import os\nos = 1", ["os"]),
+    ],
+)
+def test_an_import_counts_as_read_only_where_its_name_is_loaded(source, unread):
+    assert _unread_imports(source) == unread
 
 
 def test_entry_points_are_defined_and_reached_from_nowhere_else():

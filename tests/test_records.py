@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import pickle
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -705,8 +706,12 @@ def test_grouping_partitions_record_ids(ids, tasks, qtypes):
     assert DatasetManifest(records).groups == manifest.groups
 
 
-# JSON strings of any character but a lone surrogate, which UTF-8 cannot hold
-json_texts = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+# JSON strings of any character, lone surrogates included, which UTF-8
+# cannot hold and the writers write as JSON escapes; but no high surrogate
+# right before a low one, since JSON decodes that pair as one character
+json_texts = st.text(st.characters(), max_size=6).filter(
+    lambda text: not re.search("[\ud800-\udbff][\udc00-\udfff]", text)
+)
 # every type of value records may share extras for, then a float and a list
 extras_values = st.one_of(
     json_texts,
@@ -760,6 +765,6 @@ def canonical_dataset_texts(draw):
 def test_writing_a_parsed_canonical_dataset_gives_its_bytes(text, tmp_path_factory):
     folder = tmp_path_factory.mktemp("round-trip")
     path, out = folder / "data.jsonl", folder / "out.jsonl"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "backslashreplace"))
     write_dataset(parse_dataset(path), out)
     assert out.read_bytes() == path.read_bytes()

@@ -373,6 +373,23 @@ class TestAssignment:
             for text in ['"\\"q0"', '"\\\\q1"', '"\\u0001q2"', '"\u2028q3"', '"üq4"']:
                 assert f"\n    {text}: " in expected
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_lone_surrogate_is_written_as_its_json_escape(self, mode, tmp_path):
+        # json.loads("\"\\ud800\"") is a lone surrogate, which UTF-8 cannot encode
+        manifest = _manifest_from_counts({"x\udfff": 2, "y": 1})
+        manifest = DatasetManifest(replace(rec, id=f"{rec.id}\ud800") for rec in manifest.records)
+        assignment = SplitAssignment(manifest, mode)
+        path = tmp_path / "split.json"
+        write_split(assignment, path)
+        doc = {
+            "groups": [sol.to_dict() for sol in assignment.solutions],
+            "assignments": assignment.labels,
+        }
+        expected = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8", "backslashreplace")
+        assert b'"q0\\ud800": ' in path.read_bytes()
+        assert json.loads(path.read_bytes()) == doc
+
 
 def _group_counts(manifest):
     """Each group's answer counts, tallied from the records."""

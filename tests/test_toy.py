@@ -43,7 +43,7 @@ def fresh_grads(params):
 def plain_train(spec, tcfg, train_set):
     """Reference loop: a fresh gradient dict per step and `block -= lr * grad`."""
     params = init_params(spec, tcfg)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 3]))
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 3]))
     n = len(train_set)
     trace = []
     for _ in range(tcfg.epochs):
@@ -192,12 +192,11 @@ OUT_OF_RANGE = [
     (TrainConfig, "epochs", 0, "epochs must be at least 1"),
     (TrainConfig, "batch_size", 0, "batch_size must be at least 1"),
     (TrainConfig, "hidden_dim", 0, "hidden_dim must be at least 1"),
-    (SyntheticSpec, "seed", -1, "seed must be a non-negative integer"),
-    (SyntheticSpec, "seed", 1.5, "seed must be a non-negative integer"),
-    (SyntheticSpec, "seed", "3", "seed must be a non-negative integer"),
-    (TrainConfig, "seed", -2, "seed must be a non-negative integer"),
-    (TrainConfig, "seed", 1.5, "seed must be a non-negative integer"),
-    (TrainConfig, "seed", 2.0, "seed must be a non-negative integer"),
+    (SyntheticSpec, "seed", -1, "seed must be at least 0"),
+    (SyntheticSpec, "seed", 1.5, "seed must be an integer"),
+    (SyntheticSpec, "seed", "3", "seed must be an integer"),
+    (SyntheticSpec, "seed", True, "seed must be an integer"),
+    (SyntheticSpec, "seed", np.True_, "seed must be an integer"),
     (SyntheticSpec, "train_size", 2.5, "train_size must be an integer"),
     (SyntheticSpec, "num_classes", 8.0, "num_classes must be an integer"),
     (SyntheticSpec, "feature_dim", 16.5, "feature_dim must be an integer"),
@@ -221,10 +220,20 @@ def test_configs_reject_out_of_range_sizes_and_rates(config, name, value, messag
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("config", [SyntheticSpec, TrainConfig])
 @pytest.mark.parametrize("seed", [0, 7, np.int64(3), np.uint8(2)])
-def test_configs_take_any_non_negative_integer_seed(config, seed):
-    assert config(seed=seed).seed == seed
+def test_the_spec_takes_any_non_negative_integer_seed(seed):
+    assert SyntheticSpec(seed=seed).seed == seed
+
+
+def test_the_spec_seed_is_the_only_seed():
+    with pytest.raises(TypeError):
+        TrainConfig(seed=0)
+    # it seeds the initialization and the batch order as well as the data
+    train_set = generate_synthetic(SPEC)[0]
+    other = replace(SPEC, seed=1)
+    first, second = (init_params(spec, CFG)["enc_bias"] for spec in (SPEC, other))
+    assert not np.array_equal(first, second)
+    assert train(SPEC, CFG, train_set)[1] != train(other, CFG, train_set)[1]
 
 
 @pytest.mark.parametrize("size", [np.int64(16), np.uint8(16)])
@@ -233,10 +242,17 @@ def test_configs_take_numpy_integer_sizes(size):
     assert TrainConfig(batch_size=size).batch_size == size
 
 
-def test_paired_experiment_needs_a_seed():
+@pytest.mark.parametrize("seeds", [[], (seed for seed in ())], ids=["list", "generator"])
+def test_paired_experiment_needs_a_seed(seeds):
     with pytest.raises(ValueError) as info:
-        run_paired_experiment(SPEC, CFG, [])
+        run_paired_experiment(SPEC, CFG, seeds)
     assert str(info.value) == "at least one seed is required"
+
+
+def test_paired_experiment_reads_an_iterator_of_seeds_once():
+    expected = run_paired_experiment(SPEC, CFG, [0, 1])
+    assert run_paired_experiment(SPEC, CFG, iter([0, 1])) == expected
+    assert len(expected["runs"]) == 4 and expected["summary"]["seeds"] == [0, 1]
 
 
 def test_divergence_names_the_epoch():
@@ -359,7 +375,7 @@ def test_paired_experiment_generates_each_dataset_once(monkeypatch):
     for run in result["runs"]:
         spec = replace(SPEC, seed=run["seed"])
         debias = CFG.debias if run["arm"] == "debias" else DebiasConfig(alpha=0.0, beta=0.0)
-        cfg = replace(CFG, seed=run["seed"], debias=debias)
+        cfg = replace(CFG, debias=debias)
         params, trace = train(spec, cfg, generate_synthetic(spec)[0])
         _, head_test, tail_test = generate_synthetic(spec)
         assert {k: run[k] for k in ("head_acc", "tail_acc", "overall_acc")} == evaluate_toy(
